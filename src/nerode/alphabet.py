@@ -4,17 +4,21 @@ Words are plain Python strings; the alphabet fixes which single-character
 symbols are allowed and, crucially, their order.  Every enumeration in the
 workbench is length-lexicographic with ties broken by *alphabet* order (not
 ASCII order), so all outputs are reproducible bit for bit.
+
+Two explorations share that order: walk_states pushes one state through a
+transition table along every word, and bfs_closure finds everything a start
+item reaches, with shortest length-lex witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InputError
 
 Word = str
+T = TypeVar("T", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -78,12 +82,79 @@ class Alphabet:
             return max_len + 1
         return (k ** (max_len + 1) - 1) // (k - 1)
 
+    def rank(self, w: Word) -> int:
+        """Position of w in the length-lex order of words(): bijective
+        base-k numeration with digits 1..k in alphabet order."""
+        k = len(self.symbols)
+        r = 0
+        for ch in w:
+            r = r * k + self.index(ch) + 1
+        return r
 
-@lru_cache(maxsize=None)
-def lengthlex_words(symbols: tuple[str, ...], max_len: int) -> tuple[Word, ...]:
-    return tuple(Alphabet(symbols).words(max_len))
+
+def walk_states(start: int, rows: Sequence[Sequence[int]], max_len: int) -> Iterator[int]:
+    """States reached from start by every word of length <= max_len, in the
+    length-lex order of Alphabet.words(max_len).
+
+    rows[s][k] is the successor of state s on the k-th symbol, so
+    zip(alphabet.words(max_len), walk_states(start, rows, max_len)) pairs
+    each word with the state it leads to, one table step per word.
+    """
+    yield start
+    level = [start]
+    for _ in range(max_len):
+        level = [t for s in level for t in rows[s]]
+        yield from level
 
 
-@lru_cache(maxsize=None)
-def lengthlex_index(symbols: tuple[str, ...], max_len: int) -> dict[Word, int]:
-    return {w: i for i, w in enumerate(lengthlex_words(symbols, max_len))}
+@dataclass
+class Closure:
+    """Breadth-first closure of a start item under a successor function.
+
+    items are in discovery order (items[0] is the start); rows[i][k] is the
+    index of the k-th successor of items[i]; tree[i - 1] = (parent, k)
+    records how items[i] was first reached, so the path to it is its
+    shortest length-lex witness when successors follow alphabet order.
+    """
+
+    items: list
+    index: dict
+    rows: list[tuple[int, ...]]
+    tree: list[tuple[int, int]]
+
+    def witnesses(self, symbols: Sequence[str]) -> list[Word]:
+        """Shortest length-lex word to every item, symbols[k] labelling the
+        k-th successor."""
+        out = [""]
+        for parent, k in self.tree:
+            out.append(out[parent] + symbols[k])
+        return out
+
+
+def bfs_closure(
+    start: T,
+    successors: Callable[[T], Iterable[T]],
+    admit: Callable[[int], None] | None = None,
+) -> Closure:
+    """Every item reachable from start, breadth first.
+
+    admit, when given, is called with the current item count before each
+    new item joins, and may raise to stop a closure that grows too large.
+    """
+    items = [start]
+    index = {start: 0}
+    rows = []
+    tree = []
+    for i, item in enumerate(items):  # items grows while it is walked
+        row = []
+        for k, t in enumerate(successors(item)):
+            j = index.get(t)
+            if j is None:
+                if admit is not None:
+                    admit(len(items))
+                j = index[t] = len(items)
+                items.append(t)
+                tree.append((i, k))
+            row.append(j)
+        rows.append(tuple(row))
+    return Closure(items, index, rows, tree)

@@ -15,9 +15,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dfa import is_strongly_connected, minimize_dfa
+from .dfa import Dfa, is_strongly_connected, minimize_dfa
 from .errors import InputError, NerodeError
-from .language import LanguageSpec, membership, parse_spec_file, presented_dfa
+from .language import LanguageSpec, membership, parse_finals, parse_spec_file, presented_dfa
 from .monoid import (
     FiniteMonoid,
     context_classes,
@@ -42,6 +42,7 @@ from .serialize import (
 )
 from .shift import BitStream, champernowne_prefix, champernowne_stream, density_check
 from .topology import (
+    ApproxAutomaton,
     nerode_classes,
     orbit_closure_report,
     residual_truncation,
@@ -55,16 +56,20 @@ DEFAULT_BOUND = 12
 
 def load_spec(value: str) -> LanguageSpec:
     path = Path(value)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. ENAMETOOLONG: the value cannot name a file, so it is inline
+        is_file = False
+    if is_file:
         return parse_spec_file(path.read_text(encoding="utf-8"))
     return parse_spec_file(value.replace(" / ", "\n"))
 
 
-def _emit(args, payload, dot_source=None) -> int:
-    if getattr(args, "format", "json") == "dot":
-        if dot_source is None:
+def _emit(args, payload) -> int:
+    if args.format == "dot":
+        if not isinstance(payload, (Dfa, ApproxAutomaton)):
             raise InputError("this subcommand has no DOT rendering")
-        sys.stdout.write(export_dot(dot_source))
+        sys.stdout.write(export_dot(payload))
     else:
         sys.stdout.write(export_json(payload))
     return 0
@@ -75,66 +80,14 @@ def _emit_report(report) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_finals(text: str) -> frozenset[int]:
-    if text == "-":
-        return frozenset()
-    try:
-        return frozenset(int(f) for f in text.split(",") if f != "")
-    except ValueError:
-        raise InputError(f"final elements must be a comma-separated list of integers, got {text!r}") from None
-
-
-def _monoid_from_args(args) -> FiniteMonoid:
-    return transition_monoid(presented_dfa(load_spec(args.monoid)))
-
-
-def cmd_membership(args) -> int:
-    spec = load_spec(args.spec)
-    bit = membership(spec, args.word)
-    return _emit(args, {"schema": "nerode/membership/1", "word": args.word, "member": bit})
-
-
-def cmd_minimize(args) -> int:
-    spec = load_spec(args.spec)
-    d = minimize_dfa(presented_dfa(spec))
-    return _emit(args, d, dot_source=d)
-
-
-def cmd_residual(args) -> int:
-    spec = load_spec(args.spec)
-    return _emit(args, residual_truncation(spec, args.word, args.depth))
-
-
-def cmd_nerode(args) -> int:
-    spec = load_spec(args.spec)
-    a = nerode_classes(spec, args.depth, args.horizon)
-    return _emit(args, a, dot_source=a)
-
-
-def cmd_stabilize(args) -> int:
-    spec = load_spec(args.spec)
-    return _emit(args, stabilization_check(spec, args.depth, args.horizon))
-
-
-def cmd_closure(args) -> int:
-    spec = load_spec(args.spec)
-    return _emit(args, orbit_closure_report(spec, args.depth, args.horizon))
-
-
-def cmd_monoid(args) -> int:
-    spec = load_spec(args.spec)
-    return _emit(args, transition_monoid(presented_dfa(spec)))
-
-
-def cmd_syntactic(args) -> int:
-    spec = load_spec(args.spec)
-    m, finals = syntactic_monoid(spec)
-    return _emit(args, monoid_dict(m, finals))
+def _recognizer(args) -> tuple[FiniteMonoid, dict[str, int], frozenset[int]]:
+    """The transition monoid of --monoid, its generators and the --finals set."""
+    m = transition_monoid(presented_dfa(args.monoid))
+    return m, m.generators, parse_finals(args.finals)
 
 
 def cmd_idempotents(args) -> int:
-    spec = load_spec(args.spec)
-    m = transition_monoid(presented_dfa(spec))
+    m = transition_monoid(presented_dfa(args.spec))
     items = []
     for s in range(m.order):
         e = idempotent_power(m, s)
@@ -147,20 +100,8 @@ def cmd_idempotents(args) -> int:
     return _emit(args, payload)
 
 
-def cmd_contexts(args) -> int:
-    spec = load_spec(args.spec)
-    return _emit(args, context_classes(spec, args.left, args.right, args.bound))
-
-
-def cmd_growth(args) -> int:
-    spec = load_spec(args.spec)
-    return _emit(args, growth_profile(spec, args.k, args.bound))
-
-
 def cmd_morphism(args) -> int:
-    spec = load_spec(args.spec)
-    d = presented_dfa(load_spec(args.dfa))
-    phi = minimization_morphism(d, spec, args.bound)
+    phi = minimization_morphism(presented_dfa(args.dfa), args.spec, args.bound)
     report = check_morphism(phi)
     payload = morphism_dict(phi)
     payload["report"] = report_dict(report)
@@ -168,40 +109,13 @@ def cmd_morphism(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_induced_hom(args) -> int:
-    spec = load_spec(args.spec)
-    d = presented_dfa(load_spec(args.dfa))
-    phi = minimization_morphism(d, spec, args.bound)
-    return _emit(args, induced_hom(phi))
-
-
-def cmd_recognize(args) -> int:
-    spec = load_spec(args.spec)
-    m = _monoid_from_args(args)
-    report = verify_recognition(m, m.generators, _parse_finals(args.finals), spec, args.bound)
-    return _emit_report(report)
-
-
-def cmd_min_hom(args) -> int:
-    spec = load_spec(args.spec)
-    m = _monoid_from_args(args)
-    psi = minimal_monoid_hom(m, m.generators, _parse_finals(args.finals), spec, args.bound)
-    return _emit(args, psi)
-
-
 def cmd_champernowne(args) -> int:
     sys.stdout.write(champernowne_prefix(args.prefix) + "\n")
     return 0
 
 
-def cmd_density(args) -> int:
-    stream = BitStream(load_spec(args.spec)) if args.spec else champernowne_stream()
-    return _emit_report(density_check(stream, args.k, args.prefix))
-
-
 def cmd_connected(args) -> int:
-    spec = load_spec(args.spec)
-    d = minimize_dfa(presented_dfa(spec))
+    d = minimize_dfa(presented_dfa(args.spec))
     payload = {
         "schema": "nerode/connected/1",
         "states": d.n_states,
@@ -210,12 +124,71 @@ def cmd_connected(args) -> int:
     return _emit(args, payload)
 
 
-def _add_spec(p, required=True):
-    p.add_argument("--spec", required=required, help="spec file path or inline spec (' / ' = newline)")
+# Flags as (name, add_argument keywords).  The values of SPEC_DESTS are spec
+# texts; main() parses them, in that order, before a handler runs.
+_SPEC_HELP = "spec file path or inline spec (' / ' = newline)"
+SPEC = ("--spec", {"required": True, "help": _SPEC_HELP})
+# an empty --spec to density means the Champernowne stream, like no --spec
+OPTIONAL_SPEC = ("--spec", {"required": False, "help": _SPEC_HELP, "type": lambda text: text or None})
+DFA = ("--dfa", {"required": True, "help": "spec for the source DFA"})
+MONOID = ("--monoid", {"required": True, "help": "spec for a DFA whose transition monoid is used"})
+FINALS = ("--finals", {"required": True, "help": "comma-separated element indices ('-' for none)"})
+WORD = ("--word", {"required": True})
+DEPTH = ("--depth", {"type": int, "default": DEFAULT_DEPTH})
+HORIZON = ("--horizon", {"type": int, "default": DEFAULT_HORIZON})
+BOUND = ("--bound", {"type": int, "default": DEFAULT_BOUND})
+FORMAT = ("--format", {"choices": ["json", "dot"], "default": "json"})
+SPEC_DESTS = ("spec", "dfa", "monoid")
 
-
-def _add_format(p):
-    p.add_argument("--format", choices=["json", "dot"], default="json")
+# (name, help, flags, handler) for every subcommand, in --help order; a
+# handler returns the exit status.  Only automata have a DOT rendering.
+COMMANDS = (
+    ("membership", "evaluate the characteristic function on one word", (SPEC, WORD, FORMAT),
+     lambda a: _emit(a, {"schema": "nerode/membership/1", "word": a.word,
+                         "member": membership(a.spec, a.word)})),
+    ("minimize", "canonical minimal DFA of a rational spec", (SPEC, FORMAT),
+     lambda a: _emit(a, minimize_dfa(presented_dfa(a.spec)))),
+    ("residual", "depth-d truncation of the residual of a word", (SPEC, WORD, DEPTH, FORMAT),
+     lambda a: _emit(a, residual_truncation(a.spec, a.word, a.depth))),
+    ("nerode", "depth-d quotient of the enumerated residuals", (SPEC, DEPTH, HORIZON, FORMAT),
+     lambda a: _emit(a, nerode_classes(a.spec, a.depth, a.horizon))),
+    ("stabilize", "compare depth-d and depth-(d+1) quotients", (SPEC, DEPTH, HORIZON, FORMAT),
+     lambda a: _emit(a, stabilization_check(a.spec, a.depth, a.horizon))),
+    ("closure", "occurrence statistics of depth-d residual patterns", (SPEC, DEPTH, HORIZON, FORMAT),
+     lambda a: _emit(a, orbit_closure_report(a.spec, a.depth, a.horizon))),
+    ("monoid", "transition monoid of the presented DFA", (SPEC, FORMAT),
+     lambda a: _emit(a, transition_monoid(presented_dfa(a.spec)))),
+    ("syntactic", "syntactic monoid and recognizing subset", (SPEC, FORMAT),
+     lambda a: _emit(a, monoid_dict(*syntactic_monoid(a.spec)))),
+    ("idempotents", "idempotent power of every transition monoid element", (SPEC, FORMAT),
+     cmd_idempotents),
+    ("contexts", "bounded-context classes of words",
+     (SPEC, ("--left", {"type": int, "default": 1}), ("--right", {"type": int, "default": 1}),
+      BOUND, FORMAT),
+     lambda a: _emit(a, context_classes(a.spec, a.left, a.right, a.bound))),
+    ("growth", "context class counts at bounds (k,k), k=1..kmax",
+     (SPEC, ("--k", {"type": int, "default": 3}), BOUND, FORMAT),
+     lambda a: _emit(a, growth_profile(a.spec, a.k, a.bound))),
+    ("morphism", "morphism from a trim DFA onto the minimal DFA, checked", (SPEC, DFA, BOUND, FORMAT),
+     cmd_morphism),
+    ("induced-hom", "monoid homomorphism induced by the minimization morphism",
+     (SPEC, DFA, BOUND, FORMAT),
+     lambda a: _emit(a, induced_hom(minimization_morphism(presented_dfa(a.dfa), a.spec, a.bound)))),
+    ("recognize", "check that a monoid/final-set pair recognizes the language",
+     (SPEC, MONOID, FINALS, BOUND, FORMAT),
+     lambda a: _emit_report(verify_recognition(*_recognizer(a), a.spec, a.bound))),
+    ("min-hom", "collapse a recognizing monoid onto the syntactic monoid",
+     (SPEC, MONOID, FINALS, BOUND, FORMAT),
+     lambda a: _emit(a, minimal_monoid_hom(*_recognizer(a), a.spec, a.bound))),
+    ("champernowne", "prefix of the dense-orbit bit sequence",
+     (("--prefix", {"type": int, "required": True}),), cmd_champernowne),
+    ("density", "which length-k patterns occur in a stream prefix",
+     (OPTIONAL_SPEC, ("--k", {"type": int, "required": True}),
+      ("--prefix", {"type": int, "required": True}), FORMAT),
+     lambda a: _emit_report(
+         density_check(BitStream(a.spec) if a.spec else champernowne_stream(), a.k, a.prefix))),
+    ("connected", "strong connectivity of the minimal DFA", (SPEC, FORMAT), cmd_connected),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,109 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Residual automata and syntactic monoid workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, help_text, flags, func in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    p = add("membership", cmd_membership, "evaluate the characteristic function on one word")
-    _add_spec(p)
-    p.add_argument("--word", required=True)
-    _add_format(p)
-
-    p = add("minimize", cmd_minimize, "canonical minimal DFA of a rational spec")
-    _add_spec(p)
-    _add_format(p)
-
-    p = add("residual", cmd_residual, "depth-d truncation of the residual of a word")
-    _add_spec(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    _add_format(p)
-
-    p = add("nerode", cmd_nerode, "depth-d quotient of the enumerated residuals")
-    _add_spec(p)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    _add_format(p)
-
-    p = add("stabilize", cmd_stabilize, "compare depth-d and depth-(d+1) quotients")
-    _add_spec(p)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    _add_format(p)
-
-    p = add("closure", cmd_closure, "occurrence statistics of depth-d residual patterns")
-    _add_spec(p)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    _add_format(p)
-
-    p = add("monoid", cmd_monoid, "transition monoid of the presented DFA")
-    _add_spec(p)
-    _add_format(p)
-
-    p = add("syntactic", cmd_syntactic, "syntactic monoid and recognizing subset")
-    _add_spec(p)
-    _add_format(p)
-
-    p = add("idempotents", cmd_idempotents, "idempotent power of every transition monoid element")
-    _add_spec(p)
-    _add_format(p)
-
-    p = add("contexts", cmd_contexts, "bounded-context classes of words")
-    _add_spec(p)
-    p.add_argument("--left", type=int, default=1)
-    p.add_argument("--right", type=int, default=1)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    _add_format(p)
-
-    p = add("growth", cmd_growth, "context class counts at bounds (k,k), k=1..kmax")
-    _add_spec(p)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    _add_format(p)
-
-    p = add("morphism", cmd_morphism, "morphism from a trim DFA onto the minimal DFA, checked")
-    _add_spec(p)
-    p.add_argument("--dfa", required=True, help="spec for the source DFA")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    _add_format(p)
-
-    p = add("induced-hom", cmd_induced_hom, "monoid homomorphism induced by the minimization morphism")
-    _add_spec(p)
-    p.add_argument("--dfa", required=True, help="spec for the source DFA")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    _add_format(p)
-
-    p = add("recognize", cmd_recognize, "check that a monoid/final-set pair recognizes the language")
-    _add_spec(p)
-    p.add_argument("--monoid", required=True, help="spec for a DFA whose transition monoid is used")
-    p.add_argument("--finals", required=True, help="comma-separated element indices ('-' for none)")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    _add_format(p)
-
-    p = add("min-hom", cmd_min_hom, "collapse a recognizing monoid onto the syntactic monoid")
-    _add_spec(p)
-    p.add_argument("--monoid", required=True, help="spec for a DFA whose transition monoid is used")
-    p.add_argument("--finals", required=True, help="comma-separated element indices ('-' for none)")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    _add_format(p)
-
-    p = add("champernowne", cmd_champernowne, "prefix of the dense-orbit bit sequence")
-    p.add_argument("--prefix", type=int, required=True)
-
-    p = add("density", cmd_density, "which length-k patterns occur in a stream prefix")
-    _add_spec(p, required=False)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prefix", type=int, required=True)
-    _add_format(p)
-
-    p = add("connected", cmd_connected, "strong connectivity of the minimal DFA")
-    _add_spec(p)
-    _add_format(p)
-
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -337,6 +212,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        for dest in SPEC_DESTS:
+            if getattr(args, dest, None) is not None:
+                setattr(args, dest, load_spec(getattr(args, dest)))
         return args.func(args)
     except NerodeError as e:
         print(f"error: {e}", file=sys.stderr)

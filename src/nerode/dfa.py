@@ -8,10 +8,9 @@ structurally equal, which makes isomorphism checks trivial.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .alphabet import Alphabet, Word
+from .alphabet import Alphabet, Word, bfs_closure
 from .errors import InputError
 
 
@@ -62,39 +61,20 @@ class Dfa:
 
 def reachable_states(d: Dfa) -> list[int]:
     """States reachable from the initial state, in BFS (length-lex) order."""
-    seen = {d.initial}
-    order = [d.initial]
-    queue = deque([d.initial])
-    while queue:
-        s = queue.popleft()
-        for t in d.rows[s]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-                queue.append(t)
-    return order
+    return bfs_closure(d.initial, d.rows.__getitem__).items
 
 
 def access_words(d: Dfa) -> dict[int, Word]:
     """Shortest length-lex access word for every reachable state."""
-    words = {d.initial: ""}
-    queue = deque([d.initial])
-    while queue:
-        s = queue.popleft()
-        for k, t in enumerate(d.rows[s]):
-            if t not in words:
-                words[t] = words[s] + d.alphabet.symbols[k]
-                queue.append(t)
-    return words
+    c = bfs_closure(d.initial, d.rows.__getitem__)
+    return dict(zip(c.items, c.witnesses(d.alphabet.symbols)))
 
 
 def canonical_form(d: Dfa) -> Dfa:
     """Drop unreachable states and renumber by shortest access word."""
-    order = reachable_states(d)
-    renum = {old: new for new, old in enumerate(order)}
-    rows = tuple(tuple(renum[t] for t in d.rows[old]) for old in order)
-    finals = frozenset(renum[q] for q in d.finals if q in renum)
-    return Dfa(d.alphabet, len(order), 0, finals, rows)
+    c = bfs_closure(d.initial, d.rows.__getitem__)
+    finals = frozenset(i for i, s in enumerate(c.items) if s in d.finals)
+    return Dfa(d.alphabet, len(c.items), 0, finals, tuple(c.rows))
 
 
 def _nerode_partition(d: Dfa) -> dict[int, int]:
@@ -146,17 +126,13 @@ def minimize_dfa(d: Dfa) -> Dfa:
     """Minimal DFA of L(d), reachable states only, canonically numbered."""
     r = canonical_form(d)
     block_of = _nerode_partition(r)
-    n_blocks = len(set(block_of.values()))
     rep = {}
     for s in range(r.n_states):
         rep.setdefault(block_of[s], s)
-    rows = tuple(
-        tuple(block_of[r.rows[rep[b]][a]] for a in range(len(r.alphabet)))
-        for b in range(n_blocks)
-    )
-    finals = frozenset(block_of[q] for q in r.finals)
-    quotient = Dfa(r.alphabet, n_blocks, block_of[r.initial], finals, rows)
-    return canonical_form(quotient)
+    # the quotient, numbered like canonical_form: blocks in BFS order
+    c = bfs_closure(block_of[r.initial], lambda b: [block_of[t] for t in r.rows[rep[b]]])
+    finals = frozenset(i for i, b in enumerate(c.items) if rep[b] in r.finals)
+    return Dfa(r.alphabet, len(c.items), 0, finals, tuple(c.rows))
 
 
 def dfa_isomorphic(a: Dfa, b: Dfa) -> bool:
@@ -171,18 +147,10 @@ def language_mismatch(a: Dfa, b: Dfa) -> Word | None:
     """
     if a.alphabet != b.alphabet:
         raise InputError("language comparison needs a common alphabet")
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue = deque([(start, "")])
-    while queue:
-        (s, t), w = queue.popleft()
+    c = bfs_closure((a.initial, b.initial), lambda st: zip(a.rows[st[0]], b.rows[st[1]]))
+    for i, (s, t) in enumerate(c.items):
         if (s in a.finals) != (t in b.finals):
-            return w
-        for k, ch in enumerate(a.alphabet.symbols):
-            nxt = (a.rows[s][k], b.rows[t][k])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, w + ch))
+            return c.witnesses(a.alphabet.symbols)[i]
     return None
 
 
@@ -200,12 +168,4 @@ def is_strongly_connected(d: Dfa) -> bool:
     for s, row in enumerate(d.rows):
         for t in row:
             back[t].append(s)
-    seen = {d.initial}
-    queue = deque([d.initial])
-    while queue:
-        s = queue.popleft()
-        for t in back[s]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return len(seen) == n
+    return len(bfs_closure(d.initial, back.__getitem__).items) == n

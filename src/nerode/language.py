@@ -10,9 +10,9 @@ finite-depth approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
-from .alphabet import Alphabet, Word
+from .alphabet import Alphabet, Word, walk_states
 from .dfa import Dfa, minimize_dfa
 from .errors import ConfigError, InputError, SpecFileError
 from .regex import compile_regex, parse_pattern
@@ -160,7 +160,8 @@ def minimal_dfa(spec: LanguageSpec) -> Dfa:
 
 
 def characteristic_table(spec: LanguageSpec, max_len: int) -> dict[Word, int]:
-    """membership() on every word of length <= max_len, as one dict.
+    """membership() on every word of length <= max_len, as one dict whose
+    keys are in length-lex order.
 
     Rational specs are evaluated by breadth-first state propagation, so the
     cost is one table step per enumerated word instead of one run per word.
@@ -168,23 +169,55 @@ def characteristic_table(spec: LanguageSpec, max_len: int) -> dict[Word, int]:
     if max_len < 0:
         raise InputError("word length bound must be non-negative")
     p = spec.presentation
+    words = spec.alphabet.words(max_len)
     if isinstance(p, OracleSpec):
         decide = _BUILTINS[p.name].decide
-        return {w: decide(w, p.params) for w in spec.alphabet.words(max_len)}
+        return {w: decide(w, p.params) for w in words}
     d = presented_dfa(spec)
     finals = d.finals
-    table = {"": int(d.initial in finals)}
-    level = [("", d.initial)]
-    for _ in range(max_len):
-        nxt = []
-        for w, s in level:
-            for k, ch in enumerate(spec.alphabet.symbols):
-                t = d.rows[s][k]
-                u = w + ch
-                table[u] = int(t in finals)
-                nxt.append((u, t))
-        level = nxt
-    return table
+    return {w: int(s in finals) for w, s in zip(words, walk_states(d.initial, d.rows, max_len))}
+
+
+Context = tuple[Word, Word]
+
+
+def context_bits(chi: dict[Word, int], contexts: list[Context], w: Word) -> tuple[int, ...]:
+    """Membership bits of x + w + y for every context (x, y), read from chi."""
+    return tuple(chi[x + w + y] for x, y in contexts)
+
+
+def bucket_by_contexts(
+    chi: dict[Word, int], contexts: list[Context], words: Iterable[Word]
+) -> tuple[dict[tuple[int, ...], int], list[list[Word]]]:
+    """Group words by their context_bits.
+
+    Contexts ("", u) give bounded Myhill-Nerode residuals, two-sided (x, y)
+    give bounded syntactic classes.  Returns (index, members): index maps
+    each bit tuple to its class number, classes numbered in order of first
+    appearance; members[c] lists the words of class c in enumeration order.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    members: list[list[Word]] = []
+    for w in words:
+        bits = context_bits(chi, contexts, w)
+        ci = index.get(bits)
+        if ci is None:
+            ci = index[bits] = len(members)
+            members.append([])
+        members[ci].append(w)
+    return index, members
+
+
+def parse_finals(text: str) -> frozenset[int]:
+    """A final-set list: comma-separated integers (no empty fields), or "-" for none."""
+    if text == "-":
+        return frozenset()
+    try:
+        return frozenset(int(f) for f in text.split(","))
+    except ValueError:
+        raise InputError(
+            f"final elements must be a comma-separated list of integers, got {text!r}"
+        ) from None
 
 
 def builtin_language(name: str, params: tuple[int, ...] | list[int] = ()) -> LanguageSpec:
@@ -255,9 +288,8 @@ def parse_spec_file(text: str) -> LanguageSpec:
             raise SpecFileError("expected 'dfa: <n> <initial> <finals csv|->'", ln2)
         try:
             n, initial = int(fields[0]), int(fields[1])
-            finals = frozenset(
-                int(f) for f in fields[2].split(",") if f != "" ) if fields[2] != "-" else frozenset()
-        except ValueError:
+            finals = parse_finals(fields[2])
+        except (ValueError, InputError):
             raise SpecFileError("bad dfa header", ln2) from None
         row_lines = lines[2:]
         if len(row_lines) != n:

@@ -18,10 +18,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .alphabet import Word
+from .alphabet import Word, bfs_closure
 from .dfa import Dfa
 from .errors import InputError, ResourceError, UnsupportedPresentationError
-from .language import LanguageSpec, characteristic_table, minimal_dfa
+from .language import LanguageSpec, bucket_by_contexts, characteristic_table, minimal_dfa
 
 Transformation = tuple[int, ...]
 
@@ -35,15 +35,19 @@ def compose(f: Transformation, g: Transformation) -> Transformation:
 
 
 def _resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
+    source = "the cap argument"
+    if cap is None:
+        env = os.environ.get(CAP_ENV_VAR)
+        if env is None:
+            return DEFAULT_ELEMENT_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise InputError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_ELEMENT_CAP
+        source = CAP_ENV_VAR
+    if cap < 1:
+        raise InputError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 @dataclass
@@ -98,27 +102,20 @@ def monoid_from_generators(
     for ch, g in generators.items():
         if len(g) != n_states or any(not 0 <= x < n_states for x in g):
             raise InputError(f"generator for {ch!r} is not a transformation of {n_states} states")
-    ident = tuple(range(n_states))
-    elements = [ident]
-    index = {ident: 0}
-    witnesses = [""]
-    i = 0
-    while i < len(elements):
-        f = elements[i]
-        for ch, g in generators.items():
-            h = tuple(g[x] for x in f)
-            if h not in index:
-                if len(elements) >= cap:
-                    raise ResourceError(
-                        f"monoid closure exceeded the cap of {cap} elements"
-                        f" (override with {CAP_ENV_VAR} or the cap argument)"
-                    )
-                index[h] = len(elements)
-                elements.append(h)
-                witnesses.append(witnesses[i] + ch)
-        i += 1
+    gens = list(generators.values())
+
+    def admit(count: int) -> None:
+        if count >= cap:
+            raise ResourceError(
+                f"monoid closure exceeded the cap of {cap} elements"
+                f" (override with {CAP_ENV_VAR} or the cap argument)"
+            )
+
+    c = bfs_closure(tuple(range(n_states)), lambda f: [compose(f, g) for g in gens], admit)
+    elements, index = c.items, c.index
     table = tuple(tuple(index[compose(f, g)] for g in elements) for f in elements)
     gen_map = {ch: index[tuple(g)] for ch, g in generators.items()}
+    witnesses = c.witnesses(list(generators))
     return FiniteMonoid(n_states, tuple(elements), table, gen_map, tuple(witnesses), index)
 
 
@@ -206,29 +203,16 @@ def context_classes(spec: LanguageSpec, m: int, n: int, bound: int) -> ContextCl
         raise InputError("word-length bound must be at least 1")
     alphabet = spec.alphabet
     chi = characteristic_table(spec, m + bound + n)
-    xs = list(alphabet.words(m))
     ys = list(alphabet.words(n))
-    by_sig: dict[tuple[int, ...], int] = {}
-    reps: list[Word] = []
-    sigs: list[tuple[int, ...]] = []
-    members: list[list[Word]] = []
-    for u in alphabet.words(bound):
-        sig = tuple(chi[x + u + y] for x in xs for y in ys)
-        ci = by_sig.get(sig)
-        if ci is None:
-            ci = len(reps)
-            by_sig[sig] = ci
-            reps.append(u)
-            sigs.append(sig)
-            members.append([])
-        members[ci].append(u)
+    contexts = [(x, y) for x in alphabet.words(m) for y in ys]
+    index, members = bucket_by_contexts(chi, contexts, alphabet.words(bound))
     return ContextClassTable(
         m,
         n,
         bound,
-        tuple(reps),
+        tuple(ws[0] for ws in members),
         tuple(len(ws) for ws in members),
-        tuple(sigs),
+        tuple(index),
         tuple(tuple(ws) for ws in members),
     )
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .alphabet import bfs_closure, walk_states
 from .dfa import Dfa, access_words, language_mismatch, minimize_dfa
 from .errors import (
     ConsistencyError,
@@ -190,21 +191,6 @@ def induced_hom(phi: AutomatonMorphism) -> MonoidHom:
     return MonoidHom(m_src, m_tgt, mapping)
 
 
-def _walk_images(spec: LanguageSpec, monoid: FiniteMonoid, gen_images: dict[str, int], bound: int):
-    """Yield (word, image element) for all words of length <= bound, length-lex."""
-    level = [("", 0)]
-    yield "", 0
-    for _ in range(bound):
-        nxt = []
-        for w, e in level:
-            for ch in spec.alphabet.symbols:
-                t = monoid.table[e][gen_images[ch]]
-                u = w + ch
-                yield u, t
-                nxt.append((u, t))
-        level = nxt
-
-
 def _check_gen_images(spec: LanguageSpec, monoid: FiniteMonoid, gen_images: dict[str, int]):
     for ch in spec.alphabet.symbols:
         if ch not in gen_images:
@@ -228,10 +214,12 @@ def verify_recognition(
         if not 0 <= e < monoid.order:
             raise InputError(f"final element {e} out of range")
     chi = characteristic_table(spec, bound)
+    cols = [gen_images[ch] for ch in spec.alphabet.symbols]
+    rows = [[row[g] for g in cols] for row in monoid.table]
     violations = []
-    for w, e in _walk_images(spec, monoid, gen_images, bound):
+    for (w, bit), e in zip(chi.items(), walk_states(0, rows, bound)):
         in_f = e in finals
-        member = bool(chi[w])
+        member = bool(bit)
         if in_f != member:
             side = "in F but not in the language" if in_f else "in the language but not in F"
             violations.append(Violation("recognition", w, f"element {e} {side}"))
@@ -259,29 +247,20 @@ def minimal_monoid_hom(
     if not report.passed:
         raise RecognitionError(report.violations[0].witness)
 
-    witness_of = {0: ""}
-    order = [0]
-    i = 0
-    while i < len(order):
-        e = order[i]
-        for ch in spec.alphabet.symbols:
-            t = monoid.table[e][gen_images[ch]]
-            if t not in witness_of:
-                witness_of[t] = witness_of[e] + ch
-                order.append(t)
-        i += 1
-    ignored = tuple(sorted(set(range(monoid.order)) - set(order)))
+    cols = [gen_images[ch] for ch in spec.alphabet.symbols]
+    c = bfs_closure(0, lambda e: [monoid.table[e][g] for g in cols])
+    witnesses = c.witnesses(spec.alphabet.symbols)
+    ignored = tuple(sorted(set(range(monoid.order)) - set(c.items)))
+
+    images = [syntactic.evaluate_word(w) for w in witnesses]
+    for i, row in enumerate(c.rows):
+        for ch, j in zip(spec.alphabet.symbols, row):
+            if images[j] != syntactic.table[images[i]][syntactic.generators[ch]]:
+                raise IllDefinedHomError((witnesses[j], witnesses[i] + ch))
 
     mapping: list[int | None] = [None] * monoid.order
-    for e in order:
-        mapping[e] = syntactic.evaluate_word(witness_of[e])
-
-    for e in order:
-        for ch in spec.alphabet.symbols:
-            t = monoid.table[e][gen_images[ch]]
-            expected = syntactic.table[mapping[e]][syntactic.generators[ch]]
-            if mapping[t] != expected:
-                raise IllDefinedHomError((witness_of[t], witness_of[e] + ch))
+    for e, image in zip(c.items, images):
+        mapping[e] = image
 
     if set(mapping) - {None} != set(range(syntactic.order)):
         raise ConsistencyError("collapse failed to cover the syntactic monoid")

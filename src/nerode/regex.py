@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alphabet import Alphabet
+from .alphabet import Alphabet, bfs_closure
 from .dfa import Dfa, minimize_dfa
 from .errors import RegexParseError
 
@@ -144,8 +144,16 @@ def deriv(r: Rex, a: str) -> Rex:
     return d
 
 
+# Deepest parenthesis nesting parse_pattern accepts.  Each level costs the
+# recursive parser three stack frames and deriv, nullable, _key and the node
+# hashes up to six, so 100 levels keep them all well under Python's default
+# recursion limit of 1000.
+MAX_NESTING = 100
+
+
 def parse_pattern(pattern: str, alphabet: Alphabet) -> Rex:
     pos = 0
+    depth = 0
 
     def peek() -> str | None:
         return pattern[pos] if pos < len(pattern) else None
@@ -165,14 +173,18 @@ def parse_pattern(pattern: str, alphabet: Alphabet) -> Rex:
         return cat(*parts)
 
     def parse_factor() -> Rex:
-        nonlocal pos
+        nonlocal pos, depth
         c = peek()
         if c == "(":
+            if depth == MAX_NESTING:
+                raise RegexParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            depth += 1
             pos += 1
             node = parse_expr()
             if peek() != ")":
                 raise RegexParseError("expected ')'", pos)
             pos += 1
+            depth -= 1
         elif c == "*":
             raise RegexParseError("nothing to repeat", pos)
         elif c in alphabet:
@@ -194,22 +206,6 @@ def parse_pattern(pattern: str, alphabet: Alphabet) -> Rex:
 def compile_regex(pattern: str, alphabet: Alphabet) -> Dfa:
     """Minimal DFA of the pattern's language over the given alphabet."""
     root = parse_pattern(pattern, alphabet)
-    index: dict[Rex, int] = {root: 0}
-    order = [root]
-    rows = []
-    i = 0
-    while i < len(order):
-        r = order[i]
-        row = []
-        for ch in alphabet.symbols:
-            dr = deriv(r, ch)
-            j = index.get(dr)
-            if j is None:
-                j = len(order)
-                index[dr] = j
-                order.append(dr)
-            row.append(j)
-        rows.append(tuple(row))
-        i += 1
-    finals = frozenset(i for i, r in enumerate(order) if nullable(r))
-    return minimize_dfa(Dfa(alphabet, len(order), 0, finals, tuple(rows)))
+    c = bfs_closure(root, lambda r: [deriv(r, ch) for ch in alphabet.symbols])
+    finals = frozenset(i for i, r in enumerate(c.items) if nullable(r))
+    return minimize_dfa(Dfa(alphabet, len(c.items), 0, finals, tuple(c.rows)))

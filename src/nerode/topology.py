@@ -14,10 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alphabet import Alphabet, Word, lengthlex_index, lengthlex_words
+from .alphabet import Alphabet, Word
 from .dfa import Dfa
 from .errors import ConsistencyError, DepthExhaustedError, InputError
-from .language import LanguageSpec, characteristic_table, membership
+from .language import (
+    LanguageSpec,
+    bucket_by_contexts,
+    characteristic_table,
+    context_bits,
+    membership,
+)
 
 
 @dataclass(frozen=True)
@@ -38,14 +44,13 @@ class TruncatedPoint:
             raise InputError("table entries must be bits")
 
     def value(self, u: Word) -> int:
-        idx = lengthlex_index(self.alphabet.symbols, self.depth).get(u)
-        if idx is None:
-            self.alphabet.validate_word(u)
+        self.alphabet.validate_word(u)
+        if len(u) > self.depth:
             raise InputError(f"word {u!r} longer than depth {self.depth}")
-        return self.bits[idx]
+        return self.bits[self.alphabet.rank(u)]
 
     def items(self):
-        return zip(lengthlex_words(self.alphabet.symbols, self.depth), self.bits)
+        return zip(self.alphabet.words(self.depth), self.bits)
 
     def bit_string(self) -> str:
         return "".join(map(str, self.bits))
@@ -64,10 +69,13 @@ def point_transition(p: TruncatedPoint, symbol: str) -> TruncatedPoint:
     """Act by one letter; costs one level of depth since bits[u] = old[symbol+u]."""
     if p.depth < 1:
         raise DepthExhaustedError("cannot act on a depth-0 point")
-    p.alphabet.index(symbol)
-    idx = lengthlex_index(p.alphabet.symbols, p.depth)
-    bits = tuple(p.bits[idx[symbol + u]] for u in lengthlex_words(p.alphabet.symbols, p.depth - 1))
-    return TruncatedPoint(p.alphabet, p.depth - 1, bits)
+    j, k = p.alphabet.index(symbol), len(p.alphabet)
+    bits: list[int] = []
+    for n in range(p.depth):
+        # the words symbol + u with |u| = n fill one block of the length-(n+1) level
+        block = p.alphabet.word_count(n) + j * k**n
+        bits.extend(p.bits[block:block + k**n])
+    return TruncatedPoint(p.alphabet, p.depth - 1, tuple(bits))
 
 
 @dataclass(frozen=True)
@@ -124,27 +132,10 @@ def nerode_classes(spec: LanguageSpec, d: int, horizon: int) -> ApproxAutomaton:
         raise InputError("horizon must be at least the depth")
     alphabet = spec.alphabet
     chi = characteristic_table(spec, horizon + d + 1)
-    suffixes = lengthlex_words(alphabet.symbols, d)
-
-    def point_of(w: Word) -> TruncatedPoint:
-        return TruncatedPoint(alphabet, d, tuple(chi[w + u] for u in suffixes))
-
-    class_of: dict[TruncatedPoint, int] = {}
-    classes: list[TruncatedPoint] = []
-    witnesses: list[Word] = []
-    members: list[list[Word]] = []
-    enumerated: dict[Word, int] = {}
-    for w in alphabet.words(horizon):
-        p = point_of(w)
-        ci = class_of.get(p)
-        if ci is None:
-            ci = len(classes)
-            class_of[p] = ci
-            classes.append(p)
-            witnesses.append(w)
-            members.append([])
-        members[ci].append(w)
-        enumerated[w] = ci
+    contexts = [("", u) for u in alphabet.words(d)]  # right contexts: residuals
+    class_of, members = bucket_by_contexts(chi, contexts, alphabet.words(horizon))
+    witnesses = [ws[0] for ws in members]
+    enumerated = {w: ci for ci, ws in enumerate(members) for w in ws}
 
     transitions = []
     for ci, w in enumerate(witnesses):
@@ -152,20 +143,18 @@ def nerode_classes(spec: LanguageSpec, d: int, horizon: int) -> ApproxAutomaton:
         for ch in alphabet.symbols:
             target = enumerated.get(w + ch)
             if target is None:  # witness sits on the horizon; evaluate past it
-                target = class_of.get(point_of(w + ch))
-            consistent = target is not None
-            if consistent:
-                for u in members[ci]:
-                    succ = enumerated.get(u + ch)
-                    if succ is not None and succ != target:
-                        consistent = False
-                        break
+                target = class_of.get(context_bits(chi, contexts, w + ch))
+            # every enumerated successor of a member must land in the same class
+            consistent = target is not None and all(
+                enumerated.get(u + ch, target) == target for u in members[ci]
+            )
             row.append(Transition(target, consistent))
         transitions.append(tuple(row))
 
-    accepting = frozenset(ci for ci, p in enumerate(classes) if p.bits[0] == 1)
+    classes = tuple(TruncatedPoint(alphabet, d, bits) for bits in class_of)
+    accepting = frozenset(ci for ci, bits in enumerate(class_of) if bits[0] == 1)
     return ApproxAutomaton(
-        alphabet, d, horizon, tuple(classes), tuple(witnesses), tuple(transitions), accepting
+        alphabet, d, horizon, classes, tuple(witnesses), tuple(transitions), accepting
     )
 
 
@@ -251,18 +240,16 @@ def orbit_closure_report(spec: LanguageSpec, d: int, horizon: int) -> ClosureRep
         raise InputError("horizon must be at least 2")
     alphabet = spec.alphabet
     chi = characteristic_table(spec, horizon + d)
-    suffixes = lengthlex_words(alphabet.symbols, d)
-    stats: dict[TruncatedPoint, list[int]] = {}
-    for w in alphabet.words(horizon):
-        p = TruncatedPoint(alphabet, d, tuple(chi[w + u] for u in suffixes))
-        entry = stats.get(p)
-        if entry is None:
-            stats[p] = [len(w), len(w), 1]
-        else:
-            entry[1] = len(w)
-            entry[2] += 1
+    contexts = [("", u) for u in alphabet.words(d)]
+    class_of, members = bucket_by_contexts(chi, contexts, alphabet.words(horizon))
     patterns = tuple(
-        ClosurePattern(p, first, last, count, recurrent=2 * last > horizon)
-        for p, (first, last, count) in stats.items()
+        ClosurePattern(
+            TruncatedPoint(alphabet, d, bits),
+            len(ws[0]),
+            len(ws[-1]),
+            len(ws),
+            recurrent=2 * len(ws[-1]) > horizon,
+        )
+        for bits, ws in zip(class_of, members)
     )
     return ClosureReport(d, horizon, patterns)

@@ -285,3 +285,35 @@ def test_help_exits_0(capsys):
 ])
 def test_precondition_errors_exit_2(capsys, bad_flag_cmd):
     assert run(capsys, *bad_flag_cmd)[0] == 2
+
+
+def _one_error_line(code, out, err):
+    return code == 2 and out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_inline_spec_too_long_for_a_path_exits_2(capsys):
+    spec = "alphabet: ab / regex: " + "(a|b)" * 1000 + "c"  # 5 000 characters and more
+    result = run(capsys, "minimize", "--spec", spec)
+    assert _one_error_line(*result)
+    assert "Traceback" not in result[2]
+
+
+def test_regex_nested_1200_deep_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.spec"
+    path.write_text("alphabet: ab\nregex: " + "(" * 1200 + "a" + ")" * 1200 + "\n", encoding="utf-8")
+    result = run(capsys, "minimize", "--spec", str(path))
+    assert _one_error_line(*result)
+    assert "nested deeper" in result[2]
+
+
+def test_finals_with_empty_field_exits_2(capsys):
+    result = run(capsys, "recognize", "--spec", AA, "--monoid", Z3, "--finals", "0,,")
+    assert _one_error_line(*result)
+    assert "'0,,'" in result[2]
+
+
+def test_negative_monoid_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("NERODE_MONOID_CAP", "-5")
+    result = run(capsys, "monoid", "--spec", AA)
+    assert _one_error_line(*result)
+    assert "NERODE_MONOID_CAP must be at least 1" in result[2]

@@ -340,3 +340,24 @@ def test_dfa_isomorphic_ignores_numbering():
     assert dfa_isomorphic(d1, d2)
     d3 = Dfa(a, 2, 0, frozenset({1}), ((1,), (0,)))
     assert not dfa_isomorphic(d1, d3)
+
+
+# --- input limits ---------------------------------------------------------
+
+
+def test_dfa_header_rejects_empty_final_field():
+    for finals in ("0,,1", "0,", ",1", ","):
+        with pytest.raises(SpecFileError, match="bad dfa header"):
+            parse_spec_file(f"alphabet: a\ndfa: 2 0 {finals}\n1\n0\n")
+    assert parse_spec_file("alphabet: a\ndfa: 2 0 0,1\n1\n0\n").presentation.dfa.finals == {0, 1}
+
+
+def test_deepest_allowed_nesting_compiles():
+    from nerode.regex import MAX_NESTING
+
+    n = MAX_NESTING
+    for pattern in ("(" * n + "a" + ")" * n, "(" * n + "a" + "b*|a)" * n):
+        d = compile_regex(pattern, Alphabet.of("ab"))
+        assert dfa_words(d, 4) == regex_words(pattern, "ab", 4)
+    with pytest.raises(RegexParseError, match="nested deeper than"):
+        compile_regex("(" * (n + 1) + "a" + ")" * (n + 1), Alphabet.of("ab"))

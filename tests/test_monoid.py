@@ -294,3 +294,18 @@ def test_growth_preconditions():
         growth_profile(builtin_language("anbn"), 0, 4)
     with pytest.raises(InputError):
         growth_profile(builtin_language("anbn"), 3, 2)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_monoid_cap_below_one_rejected(cap, monkeypatch):
+    with pytest.raises(InputError, match="cap argument"):
+        transition_monoid(chain_dfa(), cap=cap)
+    monkeypatch.setenv("NERODE_MONOID_CAP", str(cap))
+    with pytest.raises(InputError, match="NERODE_MONOID_CAP"):
+        transition_monoid(chain_dfa())
+
+
+def test_monoid_cap_of_exact_order_is_enough():
+    assert transition_monoid(cycle_dfa(7, {0}), cap=7).order == 7
+    with pytest.raises(ResourceError, match="cap of 6 elements"):
+        transition_monoid(cycle_dfa(7, {0}), cap=6)
