@@ -39,11 +39,13 @@ from .language import (
     RegexSpec,
     builtin_language,
     builtin_names,
+    champernowne_bit,
     characteristic_table,
     membership,
     minimal_dfa,
     parse_spec_file,
     presented_dfa,
+    residual_bits,
     serialize_spec,
 )
 from .monoid import (
@@ -75,7 +77,6 @@ from .serialize import export_dot, export_json
 from .shift import (
     BitStream,
     DensityReport,
-    champernowne_bit,
     champernowne_prefix,
     champernowne_stream,
     density_check,

@@ -49,6 +49,13 @@ class Dfa:
     def step(self, state: int, symbol: str) -> int:
         return self.rows[state][self.alphabet.index(symbol)]
 
+    # initial, accepting, successor: the surface morphism checks and DOT export read
+    successor = step
+
+    @property
+    def accepting(self) -> frozenset[int]:
+        return self.finals
+
     def run(self, word: Word, start: int | None = None) -> int:
         state = self.initial if start is None else start
         for ch in word:

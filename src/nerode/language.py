@@ -10,7 +10,8 @@ finite-depth approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .alphabet import Alphabet, Word, walk_states
 from .dfa import Dfa, minimize_dfa
@@ -72,10 +73,21 @@ def _decide_powers_of_two(w: Word, params) -> int:
     return int(n >= 1 and n & (n - 1) == 0)
 
 
-def _decide_champernowne(w: Word, params) -> int:
-    # imported lazily: shift.py depends on this module
-    from .shift import champernowne_bit
+def champernowne_bit(i: int) -> int:
+    """Bit i of the concatenated length-lex enumeration of binary words."""
+    if i < 0:
+        raise InputError("bit index must be non-negative")
+    length = 1
+    while True:
+        block = length << length  # total bits contributed by words of this length
+        if i < block:
+            word_idx, offset = divmod(i, length)
+            return (word_idx >> (length - 1 - offset)) & 1
+        i -= block
+        length += 1
 
+
+def _decide_champernowne(w: Word, params) -> int:
     return champernowne_bit(len(w))
 
 
@@ -145,13 +157,34 @@ def presented_dfa(spec: LanguageSpec) -> Dfa:
     raise InputError("oracle presentations have no DFA")
 
 
-def membership(spec: LanguageSpec, w: Word) -> int:
-    """Characteristic function of the spec's language: 1 iff w is a member."""
+def residual_bits(
+    spec: LanguageSpec, w: Word, max_len: int, suffixes: Iterable[Word] | None = None
+) -> Iterator[int]:
+    """membership(spec, w + u) for every u in Alphabet.words(max_len), in that
+    order: the bits of the residual of w.  The one evaluator of a presentation.
+
+    w is validated once.  A rational spec runs w once, then takes one table
+    step per word; an oracle spec makes one decide call per word, reading u
+    from suffixes when a caller that needs the words too passes that same
+    enumeration.
+    """
+    if max_len < 0:
+        raise InputError("word length bound must be non-negative")
     spec.alphabet.validate_word(w)
     p = spec.presentation
     if isinstance(p, OracleSpec):
-        return _BUILTINS[p.name].decide(w, p.params)
-    return int(presented_dfa(spec).accepts(w))
+        words = spec.alphabet.words(max_len) if suffixes is None else suffixes
+        if w:
+            words = map(w.__add__, words)
+        return map(_BUILTINS[p.name].decide, words, repeat(p.params))
+    d = presented_dfa(spec)
+    bit = [int(s in d.finals) for s in range(d.n_states)]  # ints, not bools: bits are printed
+    return map(bit.__getitem__, walk_states(d.run(w), d.rows, max_len))
+
+
+def membership(spec: LanguageSpec, w: Word) -> int:
+    """Characteristic function of the spec's language: 1 iff w is a member."""
+    return next(residual_bits(spec, w, 0))
 
 
 def minimal_dfa(spec: LanguageSpec) -> Dfa:
@@ -161,21 +194,16 @@ def minimal_dfa(spec: LanguageSpec) -> Dfa:
 
 def characteristic_table(spec: LanguageSpec, max_len: int) -> dict[Word, int]:
     """membership() on every word of length <= max_len, as one dict whose
-    keys are in length-lex order.
+    keys are in length-lex order: the residual bits of the empty word.
 
     Rational specs are evaluated by breadth-first state propagation, so the
     cost is one table step per enumerated word instead of one run per word.
     """
-    if max_len < 0:
-        raise InputError("word length bound must be non-negative")
-    p = spec.presentation
     words = spec.alphabet.words(max_len)
-    if isinstance(p, OracleSpec):
-        decide = _BUILTINS[p.name].decide
-        return {w: decide(w, p.params) for w in words}
-    d = presented_dfa(spec)
-    finals = d.finals
-    return {w: int(s in finals) for w, s in zip(words, walk_states(d.initial, d.rows, max_len))}
+    if spec.rational:
+        return dict(zip(words, residual_bits(spec, "", max_len)))
+    words = list(words)  # an oracle decides the keys themselves: one enumeration
+    return dict(zip(words, residual_bits(spec, "", max_len, words)))
 
 
 Context = tuple[Word, Word]

@@ -63,11 +63,6 @@ class FiniteMonoid:
     table: tuple[tuple[int, ...], ...]
     generators: dict[str, int]
     witnesses: tuple[Word, ...]
-    _index: dict[Transformation, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {e: i for i, e in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -75,9 +70,6 @@ class FiniteMonoid:
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def element_index(self, t: Transformation) -> int | None:
-        return self._index.get(t)
 
     def evaluate_word(self, w: Word) -> int:
         """Index of the action of w (fold the generators left to right)."""
@@ -116,7 +108,7 @@ def monoid_from_generators(
     table = tuple(tuple(index[compose(f, g)] for g in elements) for f in elements)
     gen_map = {ch: index[tuple(g)] for ch, g in generators.items()}
     witnesses = c.witnesses(list(generators))
-    return FiniteMonoid(n_states, tuple(elements), table, gen_map, tuple(witnesses), index)
+    return FiniteMonoid(n_states, tuple(elements), table, gen_map, tuple(witnesses))
 
 
 def transition_monoid(d: Dfa, cap: int | None = None) -> FiniteMonoid:

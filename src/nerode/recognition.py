@@ -64,23 +64,6 @@ class AutomatonMorphism:
     mapping: tuple[int, ...]
 
 
-def _target_initial(target) -> int:
-    return target.initial
-
-
-def _target_step(target, state: int, symbol: str) -> int | None:
-    if isinstance(target, Dfa):
-        return target.step(state, symbol)
-    tr = target.step(state, symbol)
-    return tr.target
-
-
-def _target_accepting(target) -> frozenset[int]:
-    if isinstance(target, Dfa):
-        return target.finals
-    return frozenset(target.accepting)
-
-
 def minimization_morphism(
     d: Dfa, spec: LanguageSpec, bound: int = DEFAULT_WORD_BOUND
 ) -> AutomatonMorphism:
@@ -118,7 +101,7 @@ def check_morphism(phi: AutomatonMorphism) -> Report:
         raise InputError("morphism map must cover every source state")
     violations: list[Violation] = []
 
-    t0 = _target_initial(phi.target)
+    t0 = phi.target.initial
     if phi.mapping[src.initial] != t0:
         violations.append(
             Violation("initial", str(src.initial), f"maps to {phi.mapping[src.initial]}, expected {t0}")
@@ -126,7 +109,7 @@ def check_morphism(phi: AutomatonMorphism) -> Report:
 
     for s in range(src.n_states):
         for k, ch in enumerate(src.alphabet.symbols):
-            expected = _target_step(phi.target, phi.mapping[s], ch)
+            expected = phi.target.successor(phi.mapping[s], ch)
             got = phi.mapping[src.rows[s][k]]
             if expected is None:
                 violations.append(Violation("equivariance", f"{s}:{ch}", "target transition unresolved"))
@@ -135,7 +118,7 @@ def check_morphism(phi: AutomatonMorphism) -> Report:
                     Violation("equivariance", f"{s}:{ch}", f"map(s.{ch}) = {got}, map(s).{ch} = {expected}")
                 )
 
-    accepting = _target_accepting(phi.target)
+    accepting = phi.target.accepting
     image_of_finals = {phi.mapping[s] for s in src.finals}
     for s in sorted(src.finals):
         if phi.mapping[s] not in accepting:
@@ -158,6 +141,34 @@ class MonoidHom:
     ignored: tuple[int, ...] = ()
 
 
+def _generated_hom(
+    source: FiniteMonoid, gen_images: dict[str, int], target: FiniteMonoid, symbols, clash
+) -> list[int | None]:
+    """Map the source element of each word over symbols (letter ch read as
+    gen_images[ch]) to its target element (ch read as target.generators[ch]).
+
+    Images follow the BFS tree of the generated part of source, one table
+    lookup per element; elements outside it map to None.  Every generator
+    step is checked: the first pair of words naming one source element but
+    two target elements is raised as clash(pair).
+    """
+    cols = [gen_images[ch] for ch in symbols]
+    target_cols = [target.generators[ch] for ch in symbols]
+    c = bfs_closure(0, lambda e: [source.table[e][g] for g in cols])
+    images = [0]  # element 0 is the identity of both monoids
+    for parent, k in c.tree:
+        images.append(target.table[images[parent]][target_cols[k]])
+    for i, row in enumerate(c.rows):
+        for k, j in enumerate(row):
+            if images[j] != target.table[images[i]][target_cols[k]]:
+                witnesses = c.witnesses(symbols)
+                raise clash((witnesses[j], witnesses[i] + symbols[k]))
+    mapping: list[int | None] = [None] * source.order
+    for e, image in zip(c.items, images):
+        mapping[e] = image
+    return mapping
+
+
 def induced_hom(phi: AutomatonMorphism) -> MonoidHom:
     """Homomorphism between transition monoids induced by a valid surjective
     automaton morphism: the action of w upstairs maps to the action of w
@@ -174,21 +185,18 @@ def induced_hom(phi: AutomatonMorphism) -> MonoidHom:
 
     m_src = transition_monoid(phi.source)
     m_tgt = transition_monoid(phi.target)
-    mapping = tuple(m_tgt.evaluate_word(w) for w in m_src.witnesses)
 
     # Well-definedness alarm: with a valid surjective morphism the witness
     # choice cannot matter, so a disagreement means a bug, not bad input.
-    for i, w in enumerate(m_src.witnesses):
-        for ch, gi in m_src.generators.items():
-            j = m_src.table[i][gi]
-            if mapping[j] != m_tgt.table[mapping[i]][m_tgt.generators[ch]]:
-                raise ConsistencyError(
-                    f"witnesses {m_src.witnesses[j]!r} and {w + ch!r} name one element "
-                    f"but map to different targets"
-                )
+    def clash(pair):
+        return ConsistencyError(
+            f"witnesses {pair[0]!r} and {pair[1]!r} name one element but map to different targets"
+        )
+
+    mapping = _generated_hom(m_src, m_src.generators, m_tgt, phi.source.alphabet.symbols, clash)
     if set(mapping) != set(range(m_tgt.order)):
         raise ConsistencyError("induced homomorphism failed to cover the target monoid")
-    return MonoidHom(m_src, m_tgt, mapping)
+    return MonoidHom(m_src, m_tgt, tuple(mapping))
 
 
 def _check_gen_images(spec: LanguageSpec, monoid: FiniteMonoid, gen_images: dict[str, int]):
@@ -247,20 +255,8 @@ def minimal_monoid_hom(
     if not report.passed:
         raise RecognitionError(report.violations[0].witness)
 
-    cols = [gen_images[ch] for ch in spec.alphabet.symbols]
-    c = bfs_closure(0, lambda e: [monoid.table[e][g] for g in cols])
-    witnesses = c.witnesses(spec.alphabet.symbols)
-    ignored = tuple(sorted(set(range(monoid.order)) - set(c.items)))
-
-    images = [syntactic.evaluate_word(w) for w in witnesses]
-    for i, row in enumerate(c.rows):
-        for ch, j in zip(spec.alphabet.symbols, row):
-            if images[j] != syntactic.table[images[i]][syntactic.generators[ch]]:
-                raise IllDefinedHomError((witnesses[j], witnesses[i] + ch))
-
-    mapping: list[int | None] = [None] * monoid.order
-    for e, image in zip(c.items, images):
-        mapping[e] = image
+    mapping = _generated_hom(monoid, gen_images, syntactic, spec.alphabet.symbols, IllDefinedHomError)
+    ignored = tuple(e for e, image in enumerate(mapping) if image is None)
 
     if set(mapping) - {None} != set(range(syntactic.order)):
         raise ConsistencyError("collapse failed to cover the syntactic monoid")

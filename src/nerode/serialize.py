@@ -161,7 +161,7 @@ def morphism_dict(phi: AutomatonMorphism) -> dict:
         "schema": _schema("automaton-morphism"),
         "map": list(phi.mapping),
         "source": dfa_dict(phi.source),
-        "target": dfa_dict(target) if isinstance(target, Dfa) else approx_dict(target),
+        "target": _CONVERTERS[type(target)](target),
     }
 
 
@@ -185,24 +185,26 @@ def density_dict(r: DensityReport) -> dict:
     }
 
 
+_CONVERTERS = {
+    Dfa: dfa_dict,
+    TruncatedPoint: point_dict,
+    ApproxAutomaton: approx_dict,
+    StabilizationVerdict: stabilization_dict,
+    ClosureReport: closure_dict,
+    FiniteMonoid: monoid_dict,
+    ContextClassTable: contexts_dict,
+    GrowthProfile: growth_dict,
+    Report: report_dict,
+    AutomatonMorphism: morphism_dict,
+    MonoidHom: monoid_hom_dict,
+    DensityReport: density_dict,
+}
+
+
 def export_json(payload) -> str:
     """Canonical JSON text (sorted keys, two-space indent, trailing newline)."""
     if not isinstance(payload, dict):
-        converters = {
-            Dfa: dfa_dict,
-            TruncatedPoint: point_dict,
-            ApproxAutomaton: approx_dict,
-            StabilizationVerdict: stabilization_dict,
-            ClosureReport: closure_dict,
-            FiniteMonoid: monoid_dict,
-            ContextClassTable: contexts_dict,
-            GrowthProfile: growth_dict,
-            Report: report_dict,
-            AutomatonMorphism: morphism_dict,
-            MonoidHom: monoid_hom_dict,
-            DensityReport: density_dict,
-        }
-        conv = converters.get(type(payload))
+        conv = _CONVERTERS.get(type(payload))
         if conv is None:
             raise InputError(f"no JSON encoding for {type(payload).__name__}")
         payload = conv(payload)
@@ -222,44 +224,27 @@ def _label(index: int, witness: str | None) -> str:
 def export_dot(obj: Dfa | ApproxAutomaton) -> str:
     """Deterministic DOT digraph; accepting states are double circles and
     unverified quotient transitions are dashed."""
-    lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point label=""];']
     if isinstance(obj, Dfa):
         access = access_words(obj)
-        accepting = obj.finals
-        n = obj.n_states
-        initial = obj.initial
-
-        def witness(i: int) -> str | None:
-            return access.get(i)
-
-        def edges(i: int):
-            for k, ch in enumerate(obj.alphabet.symbols):
-                yield ch, obj.rows[i][k], True
+        witnesses = [access.get(i) for i in range(obj.n_states)]
+        consistent = [[True] * len(obj.alphabet)] * obj.n_states
     elif isinstance(obj, ApproxAutomaton):
-        accepting = obj.accepting
-        n = len(obj.classes)
-        initial = 0
-
-        def witness(i: int) -> str | None:
-            return obj.witnesses[i]
-
-        def edges(i: int):
-            for k, ch in enumerate(obj.alphabet.symbols):
-                tr = obj.transitions[i][k]
-                yield ch, tr.target, tr.consistent
+        witnesses = obj.witnesses
+        consistent = [[tr.consistent for tr in row] for row in obj.transitions]
     else:
         raise InputError(f"no DOT encoding for {type(obj).__name__}")
 
-    for i in range(n):
-        shape = "doublecircle" if i in accepting else "circle"
-        lines.append(f"  q{i} [shape={shape} label={_quote(_label(i, witness(i)))}];")
-    lines.append(f"  __start -> q{initial};")
+    lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point label=""];']
+    for i, witness in enumerate(witnesses):
+        shape = "doublecircle" if i in obj.accepting else "circle"
+        lines.append(f"  q{i} [shape={shape} label={_quote(_label(i, witness))}];")
+    lines.append(f"  __start -> q{obj.initial};")
 
     unknown_used = False
     grouped: dict[tuple[int, int | None, bool], list[str]] = {}
-    for i in range(n):
-        for ch, target, ok in edges(i):
-            grouped.setdefault((i, target, ok), []).append(ch)
+    for i, flags in enumerate(consistent):
+        for ch, ok in zip(obj.alphabet.symbols, flags):
+            grouped.setdefault((i, obj.successor(i, ch), ok), []).append(ch)
     for (i, target, ok), symbols in grouped.items():
         style = "" if ok else " style=dashed"
         if target is None:

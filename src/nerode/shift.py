@@ -13,21 +13,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import InputError
-from .language import LanguageSpec, builtin_language, membership
-
-
-def champernowne_bit(i: int) -> int:
-    """Bit i of the concatenated length-lex enumeration of binary words."""
-    if i < 0:
-        raise InputError("bit index must be non-negative")
-    length = 1
-    while True:
-        block = length << length  # total bits contributed by words of this length
-        if i < block:
-            word_idx, offset = divmod(i, length)
-            return (word_idx >> (length - 1 - offset)) & 1
-        i -= block
-        length += 1
+from .language import LanguageSpec, builtin_language, champernowne_bit, residual_bits
 
 
 def champernowne_prefix(n: int) -> str:
@@ -56,8 +42,9 @@ class BitStream:
         if len(self._bits) >= n:
             return
         with self._lock:
-            while len(self._bits) < n:
-                self._bits.append(membership(self.spec, self._symbol * len(self._bits)))
+            have = len(self._bits)
+            if have < n:  # the next bits are the residual of the word of length have
+                self._bits.extend(residual_bits(self.spec, self._symbol * have, n - have - 1))
 
     def bit(self, i: int) -> int:
         if i < 0:

@@ -22,7 +22,7 @@ from .language import (
     bucket_by_contexts,
     characteristic_table,
     context_bits,
-    membership,
+    residual_bits,
 )
 
 
@@ -60,9 +60,7 @@ def residual_truncation(spec: LanguageSpec, w: Word, d: int) -> TruncatedPoint:
     """Depth-d truncation of the residual of w: bits[u] = membership(w + u)."""
     if d < 0:
         raise InputError("depth must be non-negative")
-    spec.alphabet.validate_word(w)
-    bits = tuple(membership(spec, w + u) for u in spec.alphabet.words(d))
-    return TruncatedPoint(spec.alphabet, d, bits)
+    return TruncatedPoint(spec.alphabet, d, tuple(residual_bits(spec, w, d)))
 
 
 def point_transition(p: TruncatedPoint, symbol: str) -> TruncatedPoint:
@@ -109,6 +107,9 @@ class ApproxAutomaton:
 
     def step(self, class_index: int, symbol: str) -> Transition:
         return self.transitions[class_index][self.alphabet.index(symbol)]
+
+    def successor(self, class_index: int, symbol: str) -> int | None:
+        return self.step(class_index, symbol).target
 
     def to_dfa(self) -> Dfa:
         rows = []
