@@ -66,11 +66,6 @@ class Dfa:
         return self.run(word) in self.finals
 
 
-def reachable_states(d: Dfa) -> list[int]:
-    """States reachable from the initial state, in BFS (length-lex) order."""
-    return bfs_closure(d.initial, d.rows.__getitem__).items
-
-
 def access_words(d: Dfa) -> dict[int, Word]:
     """Shortest length-lex access word for every reachable state."""
     c = bfs_closure(d.initial, d.rows.__getitem__)
@@ -84,8 +79,14 @@ def canonical_form(d: Dfa) -> Dfa:
     return Dfa(d.alphabet, len(c.items), 0, finals, tuple(c.rows))
 
 
-def _nerode_partition(d: Dfa) -> dict[int, int]:
-    """Hopcroft refinement; returns state -> block id for an all-reachable DFA."""
+def _nerode_partition(d: Dfa) -> list[int]:
+    """Hopcroft refinement of an all-reachable DFA: the block id of each state.
+
+    blocks[i] holds the states of block i.  Each splitter's preimage under a
+    symbol is grouped by block, and only the blocks it touches are split.  A
+    split gives the smaller half a new id, so queueing the new id keeps the
+    smaller-half rule whether or not the old id is still queued.
+    """
     n = d.n_states
     k = len(d.alphabet)
     pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
@@ -93,39 +94,30 @@ def _nerode_partition(d: Dfa) -> dict[int, int]:
         for a, t in enumerate(row):
             pre[a][t].append(s)
 
-    finals = frozenset(d.finals)
-    rest = frozenset(range(n)) - finals
-    partition = {b for b in (finals, rest) if b}
-    worklist = set()
-    if finals and rest:
-        worklist.add(finals if len(finals) <= len(rest) else rest)
+    blocks = [set(range(n))]
+    block_of = [0] * n
+    worklist: set[int] = set()
 
+    def split(touched) -> None:
+        for b, hit in touched.items():
+            block = blocks[b]
+            if len(hit) < len(block):
+                new = set(hit) if 2 * len(hit) <= len(block) else block.difference(hit)
+                block -= new
+                for s in new:
+                    block_of[s] = len(blocks)
+                worklist.add(len(blocks))
+                blocks.append(new)
+
+    split({0: d.finals} if d.finals else {})
     while worklist:
-        splitter = worklist.pop()
+        splitter = tuple(blocks[worklist.pop()])
         for a in range(k):
-            x = {s for t in splitter for s in pre[a][t]}
-            if not x:
-                continue
-            for block in list(partition):
-                inter = block & x
-                if not inter or len(inter) == len(block):
-                    continue
-                diff = block - inter
-                inter, diff = frozenset(inter), frozenset(diff)
-                partition.remove(block)
-                partition.add(inter)
-                partition.add(diff)
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist.add(inter)
-                    worklist.add(diff)
-                else:
-                    worklist.add(inter if len(inter) <= len(diff) else diff)
-
-    block_of = {}
-    for i, block in enumerate(partition):
-        for s in block:
-            block_of[s] = i
+            touched: dict[int, list[int]] = {}
+            for t in splitter:
+                for s in pre[a][t]:
+                    touched.setdefault(block_of[s], []).append(s)
+            split(touched)
     return block_of
 
 
@@ -133,9 +125,7 @@ def minimize_dfa(d: Dfa) -> Dfa:
     """Minimal DFA of L(d), reachable states only, canonically numbered."""
     r = canonical_form(d)
     block_of = _nerode_partition(r)
-    rep = {}
-    for s in range(r.n_states):
-        rep.setdefault(block_of[s], s)
+    rep = {b: s for s, b in enumerate(block_of)}  # any state of a block stands for it
     # the quotient, numbered like canonical_form: blocks in BFS order
     c = bfs_closure(block_of[r.initial], lambda b: [block_of[t] for t in r.rows[rep[b]]])
     finals = frozenset(i for i, b in enumerate(c.items) if rep[b] in r.finals)
@@ -169,7 +159,7 @@ def is_strongly_connected(d: Dfa) -> bool:
     state space).  The caller is expected to minimize first.
     """
     n = d.n_states
-    if len(reachable_states(d)) < n:
+    if len(bfs_closure(d.initial, d.rows.__getitem__).items) < n:
         return False
     back: list[list[int]] = [[] for _ in range(n)]
     for s, row in enumerate(d.rows):

@@ -84,8 +84,11 @@ def minimization_morphism(
             raise RecognitionMismatchError(witness)
     else:
         chi = characteristic_table(spec, bound)
-        for w, bit in chi.items():
-            if bool(bit) != d.accepts(w):
+        # d's columns in the spec's symbol order; a spec symbol d lacks raises here
+        cols = [d.alphabet.index(ch) for ch in spec.alphabet.symbols]
+        rows = [[row[k] for k in cols] for row in d.rows]
+        for (w, bit), s in zip(chi.items(), walk_states(d.initial, rows, bound)):
+            if bool(bit) != (s in d.finals):
                 raise RecognitionMismatchError(w)
 
     target = minimize_dfa(d)

@@ -1,10 +1,10 @@
 """Minimal regular expression fragment: literals, concatenation, '|', '*', '()'.
 
 Compilation goes through Brzozowski derivatives: states of the DFA are
-derivative expressions kept in a normal form (flattened, sorted, deduplicated
-unions; flattened concatenations), which guarantees finitely many dissimilar
-derivatives.  The result is then minimized, so compile_regex always returns
-the canonical minimal DFA.
+derivative expressions kept in a normal form (unions as sets of branches
+without the empty language; flattened concatenations), which guarantees
+finitely many dissimilar derivatives.  The result is then minimized, so
+compile_regex always returns the canonical minimal DFA.
 
 An empty pattern or an empty union branch denotes the empty word, e.g.
 "(a|)" matches "a" and "".  There is no literal for the empty language.
@@ -45,7 +45,7 @@ class Cat(Rex):
 
 @dataclass(frozen=True)
 class Alt(Rex):
-    parts: tuple[Rex, ...]
+    parts: frozenset[Rex]
 
 
 @dataclass(frozen=True)
@@ -55,20 +55,6 @@ class Star(Rex):
 
 EMPTY = Empty()
 EPS = Eps()
-
-
-def _key(r: Rex):
-    if isinstance(r, Empty):
-        return (0,)
-    if isinstance(r, Eps):
-        return (1,)
-    if isinstance(r, Sym):
-        return (2, r.ch)
-    if isinstance(r, Star):
-        return (3, _key(r.inner))
-    if isinstance(r, Cat):
-        return (4, tuple(_key(p) for p in r.parts))
-    return (5, tuple(_key(p) for p in r.parts))
 
 
 def cat(*rs: Rex) -> Rex:
@@ -90,23 +76,13 @@ def cat(*rs: Rex) -> Rex:
 
 
 def alt(*rs: Rex) -> Rex:
-    seen: dict[Rex, None] = {}
-
-    def add(r: Rex):
-        if isinstance(r, Alt):
-            for p in r.parts:
-                add(p)
-        elif not isinstance(r, Empty):
-            seen.setdefault(r)
-
-    for r in rs:
-        add(r)
-    parts = sorted(seen, key=_key)
+    parts = frozenset().union(*(r.parts if isinstance(r, Alt) else (r,) for r in rs))
+    parts -= {EMPTY}
     if not parts:
         return EMPTY
     if len(parts) == 1:
-        return parts[0]
-    return Alt(tuple(parts))
+        return next(iter(parts))
+    return Alt(parts)
 
 
 def star(r: Rex) -> Rex:
@@ -145,8 +121,8 @@ def deriv(r: Rex, a: str) -> Rex:
 
 
 # Deepest parenthesis nesting parse_pattern accepts.  Each level costs the
-# recursive parser three stack frames and deriv, nullable, _key and the node
-# hashes up to six, so 100 levels keep them all well under Python's default
+# recursive parser three stack frames and deriv, nullable and the node hashes
+# up to six, so 100 levels keep them all well under Python's default
 # recursion limit of 1000.
 MAX_NESTING = 100
 

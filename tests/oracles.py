@@ -143,6 +143,26 @@ def state_equivalent(d1, s1, d2, s2):
     return True
 
 
+def brute_minimal_dfa(d):
+    """Minimal DFA of L(d) from exact state equivalence: the reachable
+    states grouped into classes by state_equivalent, the quotient numbered
+    through canonical_form."""
+    reachable = [d.initial]
+    for s in reachable:  # grows while it is walked
+        for t in d.rows[s]:
+            if t not in reachable:
+                reachable.append(t)
+    reps, class_of = [], {}
+    for s in reachable:
+        i = next((i for i, r in enumerate(reps) if state_equivalent(d, s, d, r)), len(reps))
+        if i == len(reps):
+            reps.append(s)
+        class_of[s] = i
+    rows = tuple(tuple(class_of[t] for t in d.rows[r]) for r in reps)
+    finals = frozenset(i for i, r in enumerate(reps) if r in d.finals)
+    return canonical_form(Dfa(d.alphabet, len(reps), class_of[d.initial], finals, rows))
+
+
 def residual_matching_morphism(d, target):
     """Map each source state to the unique language-equivalent target state."""
     mapping = []

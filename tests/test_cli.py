@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nerode
 from nerode.cli import main
+from tests.corpus import REGEX_CORPUS
 
 AA = "alphabet: a / regex: (aa)*"
 CHAIN = "alphabet: a / dfa: 3 0 0,2 / 1 / 2 / 1"
@@ -273,6 +279,23 @@ def test_output_is_deterministic(capsys):
     dot1 = run(capsys, "nerode", "--spec", AA, "--depth", "2", "--horizon", "6", "--format", "dot")
     dot2 = run(capsys, "nerode", "--spec", AA, "--depth", "2", "--horizon", "6", "--format", "dot")
     assert dot1 == dot2
+
+
+# corpus regexes with a union under a star: their derivatives are unions
+STARRED_UNIONS = [(p, symbols) for p, symbols, _ in REGEX_CORPUS if "|" in p and ")*" in p]
+
+
+def _cli_stdout(hash_seed, argv):
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(Path(nerode.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "nerode.cli", *argv], env=env, capture_output=True, check=True)
+    return done.stdout
+
+
+@pytest.mark.parametrize("command", [["minimize"], ["syntactic"], ["nerode", "--format", "dot"]])
+def test_output_is_independent_of_the_hash_seed(command):
+    for pattern, symbols in STARRED_UNIONS:
+        argv = [*command, "--spec", f"alphabet: {symbols} / regex: {pattern}"]
+        assert _cli_stdout(0, argv) == _cli_stdout(1, argv), argv
 
 
 def test_help_exits_0(capsys):

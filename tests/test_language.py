@@ -23,7 +23,14 @@ from nerode import (
     serialize_spec,
 )
 from tests.corpus import REGEX_CORPUS, chain_dfa, regex_spec
-from tests.oracles import all_words, dfa_words, random_trim_dfa, regex_words, state_equivalent
+from tests.oracles import (
+    all_words,
+    brute_minimal_dfa,
+    dfa_words,
+    random_trim_dfa,
+    regex_words,
+    state_equivalent,
+)
 
 
 def test_alphabet_rejects_duplicates():
@@ -193,6 +200,24 @@ def test_minimize_language_preserved_to_length_ten():
         m = minimize_dfa(d)
         assert dfa_words(m, 10) == dfa_words(d, 10)
         assert minimize_dfa(m) == m
+
+
+@st.composite
+def untrimmed_dfas(draw):
+    """Complete DFAs with 1-12 states over 1-3 letters and any initial state,
+    so unreachable states are common; finals may be none or all states."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3))
+    state = st.integers(0, n - 1)
+    rows = tuple(tuple(draw(state) for _ in range(k)) for _ in range(n))
+    finals = frozenset(s for s in range(n) if draw(st.booleans()))
+    return Dfa(Alphabet.of("abc"[:k]), n, draw(state), finals, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(untrimmed_dfas())
+def test_minimize_matches_brute_force_minimizer(d):
+    assert minimize_dfa(d) == brute_minimal_dfa(d)
 
 
 @settings(max_examples=60, deadline=None)

@@ -83,6 +83,31 @@ def test_morphism_accepts_matching_oracle_spec():
     assert phi.mapping == (0, 1, 0)
 
 
+def test_morphism_oracle_check_reads_a_permuted_dfa_alphabet():
+    # over "ba": b leads to state 1, a to state 2, both back to 0; even length
+    d = Dfa(Alphabet.of("ba"), 3, 0, frozenset({0}), ((1, 2), (0, 0), (0, 0)))
+    phi = minimization_morphism(d, builtin_language("even_length"))
+    assert phi.mapping == (0, 1, 1)
+    assert check_morphism(phi).passed
+
+
+def test_morphism_oracle_mismatch_witness_in_spec_order():
+    # over "ba", from initial state 2: even length and no 'a'; read with
+    # unpermuted columns it would be "no 'b'" and the first mismatch "ab"
+    d = Dfa(Alphabet.of("ba"), 3, 2, frozenset({2}), ((0, 0), (2, 0), (1, 0)))
+    with pytest.raises(RecognitionMismatchError) as e:
+        minimization_morphism(d, builtin_language("even_length"))
+    assert e.value.witness == "aa"
+
+
+@pytest.mark.parametrize("finals", [{0}, {1}])
+def test_morphism_oracle_symbol_missing_from_dfa_raises_input_error(finals):
+    # the "ab" spec has a 'b' the unary DFA lacks; with finals {1} the empty
+    # word would also mismatch, but the missing symbol is reported first
+    with pytest.raises(InputError, match="'b'"):
+        minimization_morphism(cycle_dfa(2, finals), builtin_language("even_length"))
+
+
 # --- check_morphism ----------------------------------------------------------
 
 
