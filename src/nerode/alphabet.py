@@ -5,9 +5,12 @@ symbols are allowed and, crucially, their order.  Every enumeration in the
 workbench is length-lexicographic with ties broken by *alphabet* order (not
 ASCII order), so all outputs are reproducible bit for bit.
 
-Two explorations share that order: walk_states pushes one state through a
-transition table along every word, and bfs_closure finds everything a start
-item reaches, with shortest length-lex witnesses.
+The order is bijective base-k numeration (Alphabet.rank), so a table of
+one entry per word is a flat sequence indexed by rank, and residual_slices
+says where the extensions w·u of a word sit in it.  Two explorations share
+that order: walk_states pushes one state through a transition table along
+every word, and bfs_closure finds everything a start item reaches, with
+shortest length-lex witnesses.
 """
 
 from __future__ import annotations
@@ -90,6 +93,19 @@ class Alphabet:
         for ch in w:
             r = r * k + self.index(ch) + 1
         return r
+
+    def residual_slices(self, r: int, depth: int) -> list[slice]:
+        """Where the words w·u with |u| <= depth sit in length-lex order, w
+        the word of rank r: one slice per length n of u, in the order of u
+        in words(depth), since rank(w·u) = rank(w)·k^n + rank(u)."""
+        k = len(self.symbols)
+        out, first, size = [], 0, 1  # the words u of length n: ranks first..first+size-1
+        for _ in range(depth + 1):
+            start = r * size + first
+            out.append(slice(start, start + size))
+            first += size
+            size *= k
+        return out
 
 
 def walk_states(start: int, rows: Sequence[Sequence[int]], max_len: int) -> Iterator[int]:

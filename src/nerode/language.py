@@ -10,8 +10,9 @@ finite-depth approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .alphabet import Alphabet, Word, walk_states
 from .dfa import Dfa, minimize_dfa
@@ -42,7 +43,7 @@ Presentation = RegexSpec | DfaSpec | OracleSpec
 class _Builtin:
     default_alphabet: str
     arity: int
-    decide: Callable[[Word, tuple[int, ...]], int]
+    decide: Callable[[Word, tuple[int, ...]], int]  # a unary builtin decides from the length
     needs: frozenset[str] = frozenset()
     unary: bool = False
 
@@ -68,8 +69,7 @@ def _decide_dyck1(w: Word, params) -> int:
     return int(depth == 0)
 
 
-def _decide_powers_of_two(w: Word, params) -> int:
-    n = len(w)
+def _decide_powers_of_two(n: int, params) -> int:
     return int(n >= 1 and n & (n - 1) == 0)
 
 
@@ -87,8 +87,8 @@ def champernowne_bit(i: int) -> int:
         length += 1
 
 
-def _decide_champernowne(w: Word, params) -> int:
-    return champernowne_bit(len(w))
+def _decide_champernowne(n: int, params) -> int:
+    return champernowne_bit(n)
 
 
 def _decide_even_length(w: Word, params) -> int:
@@ -139,7 +139,9 @@ class LanguageSpec:
         return isinstance(self.presentation, (RegexSpec, DfaSpec))
 
 
-_REGEX_CACHE: dict[tuple[tuple[str, ...], str], Dfa] = {}
+@lru_cache(maxsize=256)
+def _regex_dfa(pattern: str, alphabet: Alphabet) -> Dfa:
+    return compile_regex(pattern, alphabet)
 
 
 def presented_dfa(spec: LanguageSpec) -> Dfa:
@@ -149,34 +151,30 @@ def presented_dfa(spec: LanguageSpec) -> Dfa:
     if isinstance(p, DfaSpec):
         return p.dfa
     if isinstance(p, RegexSpec):
-        key = (spec.alphabet.symbols, p.pattern)
-        d = _REGEX_CACHE.get(key)
-        if d is None:
-            d = _REGEX_CACHE[key] = compile_regex(p.pattern, spec.alphabet)
-        return d
+        return _regex_dfa(p.pattern, spec.alphabet)
     raise InputError("oracle presentations have no DFA")
 
 
-def residual_bits(
-    spec: LanguageSpec, w: Word, max_len: int, suffixes: Iterable[Word] | None = None
-) -> Iterator[int]:
+def residual_bits(spec: LanguageSpec, w: Word, max_len: int) -> Iterator[int]:
     """membership(spec, w + u) for every u in Alphabet.words(max_len), in that
     order: the bits of the residual of w.  The one evaluator of a presentation.
 
     w is validated once.  A rational spec runs w once, then takes one table
-    step per word; an oracle spec makes one decide call per word, reading u
-    from suffixes when a caller that needs the words too passes that same
-    enumeration.
+    step per word; an oracle spec makes one decide call per word, and a
+    unary one is handed the word lengths, so it builds no words.
     """
     if max_len < 0:
         raise InputError("word length bound must be non-negative")
     spec.alphabet.validate_word(w)
     p = spec.presentation
     if isinstance(p, OracleSpec):
-        words = spec.alphabet.words(max_len) if suffixes is None else suffixes
+        info = _BUILTINS[p.name]
+        if info.unary:  # the alphabet has one symbol, so words(max_len) has these lengths
+            return map(info.decide, range(len(w), len(w) + max_len + 1), repeat(p.params))
+        words = spec.alphabet.words(max_len)
         if w:
             words = map(w.__add__, words)
-        return map(_BUILTINS[p.name].decide, words, repeat(p.params))
+        return map(info.decide, words, repeat(p.params))
     d = presented_dfa(spec)
     bit = [int(s in d.finals) for s in range(d.n_states)]  # ints, not bools: bits are printed
     return map(bit.__getitem__, walk_states(d.run(w), d.rows, max_len))
@@ -192,47 +190,36 @@ def minimal_dfa(spec: LanguageSpec) -> Dfa:
     return minimize_dfa(presented_dfa(spec))
 
 
+def chi_bits(spec: LanguageSpec, max_len: int) -> bytes:
+    """χ, the characteristic table: membership of every word of length <=
+    max_len, byte i for the word of Alphabet.rank i."""
+    return bytes(residual_bits(spec, "", max_len))
+
+
 def characteristic_table(spec: LanguageSpec, max_len: int) -> dict[Word, int]:
-    """membership() on every word of length <= max_len, as one dict whose
-    keys are in length-lex order: the residual bits of the empty word.
-
-    Rational specs are evaluated by breadth-first state propagation, so the
-    cost is one table step per enumerated word instead of one run per word.
-    """
-    words = spec.alphabet.words(max_len)
-    if spec.rational:
-        return dict(zip(words, residual_bits(spec, "", max_len)))
-    words = list(words)  # an oracle decides the keys themselves: one enumeration
-    return dict(zip(words, residual_bits(spec, "", max_len, words)))
+    """χ as a dict keyed by the words, in length-lex order: a view of
+    chi_bits for readers who want words; no library module calls it."""
+    return dict(zip(spec.alphabet.words(max_len), chi_bits(spec, max_len)))
 
 
-Context = tuple[Word, Word]
+def residual_key(chi: bytes, alphabet: Alphabet, r: int, depth: int) -> bytes:
+    """The residual bits to the given depth of the word w of rank r, read
+    from χ, which must cover the words of length |w| + depth."""
+    return b"".join([chi[s] for s in alphabet.residual_slices(r, depth)])
 
 
-def context_bits(chi: dict[Word, int], contexts: list[Context], w: Word) -> tuple[int, ...]:
-    """Membership bits of x + w + y for every context (x, y), read from chi."""
-    return tuple(chi[x + w + y] for x, y in contexts)
-
-
-def bucket_by_contexts(
-    chi: dict[Word, int], contexts: list[Context], words: Iterable[Word]
-) -> tuple[dict[tuple[int, ...], int], list[list[Word]]]:
-    """Group words by their context_bits.
-
-    Contexts ("", u) give bounded Myhill-Nerode residuals, two-sided (x, y)
-    give bounded syntactic classes.  Returns (index, members): index maps
-    each bit tuple to its class number, classes numbered in order of first
-    appearance; members[c] lists the words of class c in enumeration order.
-    """
-    index: dict[tuple[int, ...], int] = {}
-    members: list[list[Word]] = []
-    for w in words:
-        bits = context_bits(chi, contexts, w)
-        ci = index.get(bits)
+def bucket(keys: Iterable[Hashable]) -> tuple[dict[Hashable, int], list[list[int]]]:
+    """Group positions (here, ranks of words) by key: index maps each key to
+    its class number, classes numbered in order of first appearance, and
+    members[c] lists the positions of class c in increasing order."""
+    index: dict[Hashable, int] = {}
+    members: list[list[int]] = []
+    for i, key in enumerate(keys):
+        ci = index.get(key)
         if ci is None:
-            ci = index[bits] = len(members)
+            ci = index[key] = len(members)
             members.append([])
-        members[ci].append(w)
+        members[ci].append(i)
     return index, members
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .alphabet import Word, bfs_closure
 from .dfa import Dfa
 from .errors import InputError, ResourceError, UnsupportedPresentationError
-from .language import LanguageSpec, bucket_by_contexts, characteristic_table, minimal_dfa
+from .language import LanguageSpec, bucket, chi_bits, minimal_dfa, residual_key
 
 Transformation = tuple[int, ...]
 
@@ -193,19 +193,27 @@ def context_classes(spec: LanguageSpec, m: int, n: int, bound: int) -> ContextCl
         raise InputError("context bounds must be non-negative")
     if bound < 1:
         raise InputError("word-length bound must be at least 1")
-    alphabet = spec.alphabet
-    chi = characteristic_table(spec, m + bound + n)
-    ys = list(alphabet.words(n))
-    contexts = [(x, y) for x in alphabet.words(m) for y in ys]
-    index, members = bucket_by_contexts(chi, contexts, alphabet.words(bound))
+    alphabet, k = spec.alphabet, len(spec.alphabet)
+    chi = chi_bits(spec, m + bound + n)
+    xs = range(alphabet.word_count(m))  # the ranks of the left contexts x
+    # the bits of x·w·y for y in words(n) are the depth-n residual key of
+    # rank(x·w) = rank(x)·k^|w| + rank(w); right holds it for every word of length <= m + bound
+    right = [residual_key(chi, alphabet, q, n) for q in range(alphabet.word_count(m + bound))]
+    keys = (
+        b"".join([right[x * k**length + r] for x in xs])
+        for length, s in enumerate(alphabet.residual_slices(0, bound))
+        for r in range(s.start, s.stop)
+    )
+    index, members = bucket(keys)
+    words = list(alphabet.words(bound))
     return ContextClassTable(
         m,
         n,
         bound,
-        tuple(ws[0] for ws in members),
-        tuple(len(ws) for ws in members),
-        tuple(index),
-        tuple(tuple(ws) for ws in members),
+        tuple(words[rs[0]] for rs in members),
+        tuple(len(rs) for rs in members),
+        tuple(map(tuple, index)),
+        tuple(tuple(words[r] for r in rs) for rs in members),
     )
 
 

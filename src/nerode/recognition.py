@@ -32,7 +32,7 @@ from .errors import (
     RecognitionMismatchError,
     TrimnessError,
 )
-from .language import LanguageSpec, characteristic_table, presented_dfa
+from .language import LanguageSpec, presented_dfa, residual_bits
 from .monoid import FiniteMonoid, syntactic_monoid, transition_monoid
 from .topology import ApproxAutomaton
 
@@ -83,11 +83,11 @@ def minimization_morphism(
         if witness is not None:
             raise RecognitionMismatchError(witness)
     else:
-        chi = characteristic_table(spec, bound)
+        bits = residual_bits(spec, "", bound)
         # d's columns in the spec's symbol order; a spec symbol d lacks raises here
         cols = [d.alphabet.index(ch) for ch in spec.alphabet.symbols]
         rows = [[row[k] for k in cols] for row in d.rows]
-        for (w, bit), s in zip(chi.items(), walk_states(d.initial, rows, bound)):
+        for w, bit, s in zip(spec.alphabet.words(bound), bits, walk_states(d.initial, rows, bound)):
             if bool(bit) != (s in d.finals):
                 raise RecognitionMismatchError(w)
 
@@ -224,11 +224,11 @@ def verify_recognition(
     for e in finals:
         if not 0 <= e < monoid.order:
             raise InputError(f"final element {e} out of range")
-    chi = characteristic_table(spec, bound)
+    bits = residual_bits(spec, "", bound)
     cols = [gen_images[ch] for ch in spec.alphabet.symbols]
     rows = [[row[g] for g in cols] for row in monoid.table]
     violations = []
-    for (w, bit), e in zip(chi.items(), walk_states(0, rows, bound)):
+    for w, bit, e in zip(spec.alphabet.words(bound), bits, walk_states(0, rows, bound)):
         in_f = e in finals
         member = bool(bit)
         if in_f != member:

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from .alphabet import Alphabet, Word
 from .dfa import Dfa
 from .errors import ConsistencyError, DepthExhaustedError, InputError
-from .language import (
-    LanguageSpec,
-    bucket_by_contexts,
-    characteristic_table,
-    context_bits,
-    residual_bits,
-)
+from .language import LanguageSpec, bucket, chi_bits, residual_bits, residual_key
 
 
 @dataclass(frozen=True)
@@ -49,9 +43,6 @@ class TruncatedPoint:
             raise InputError(f"word {u!r} longer than depth {self.depth}")
         return self.bits[self.alphabet.rank(u)]
 
-    def items(self):
-        return zip(self.alphabet.words(self.depth), self.bits)
-
     def bit_string(self) -> str:
         return "".join(map(str, self.bits))
 
@@ -67,13 +58,9 @@ def point_transition(p: TruncatedPoint, symbol: str) -> TruncatedPoint:
     """Act by one letter; costs one level of depth since bits[u] = old[symbol+u]."""
     if p.depth < 1:
         raise DepthExhaustedError("cannot act on a depth-0 point")
-    j, k = p.alphabet.index(symbol), len(p.alphabet)
-    bits: list[int] = []
-    for n in range(p.depth):
-        # the words symbol + u with |u| = n fill one block of the length-(n+1) level
-        block = p.alphabet.word_count(n) + j * k**n
-        bits.extend(p.bits[block:block + k**n])
-    return TruncatedPoint(p.alphabet, p.depth - 1, tuple(bits))
+    # the words symbol + u, |u| < depth: symbol has rank index + 1
+    slices = p.alphabet.residual_slices(p.alphabet.index(symbol) + 1, p.depth - 1)
+    return TruncatedPoint(p.alphabet, p.depth - 1, tuple(b for s in slices for b in p.bits[s]))
 
 
 @dataclass(frozen=True)
@@ -131,32 +118,32 @@ def nerode_classes(spec: LanguageSpec, d: int, horizon: int) -> ApproxAutomaton:
         raise InputError("depth must be non-negative")
     if horizon < d:
         raise InputError("horizon must be at least the depth")
-    alphabet = spec.alphabet
-    chi = characteristic_table(spec, horizon + d + 1)
-    contexts = [("", u) for u in alphabet.words(d)]  # right contexts: residuals
-    class_of, members = bucket_by_contexts(chi, contexts, alphabet.words(horizon))
-    witnesses = [ws[0] for ws in members]
-    enumerated = {w: ci for ci, ws in enumerate(members) for w in ws}
+    alphabet, k = spec.alphabet, len(spec.alphabet)
+    chi = chi_bits(spec, horizon + d + 1)
+    n = alphabet.word_count(horizon)  # the enumerated words are the ranks below n
+    keys = [residual_key(chi, alphabet, r, d) for r in range(n)]
+    class_of, members = bucket(keys)
+    label = list(map(class_of.__getitem__, keys))
+    firsts = {rs[0] for rs in members}
+    witnesses = tuple(w for r, w in enumerate(alphabet.words(horizon)) if r in firsts)
 
     transitions = []
-    for ci, w in enumerate(witnesses):
+    for rs in members:
         row = []
-        for ch in alphabet.symbols:
-            target = enumerated.get(w + ch)
-            if target is None:  # witness sits on the horizon; evaluate past it
-                target = class_of.get(context_bits(chi, contexts, w + ch))
+        for i in range(1, k + 1):  # the successor of rank r on the i-th symbol is r·k + i
+            t = rs[0] * k + i
+            # a witness on the horizon is evaluated past it
+            target = label[t] if t < n else class_of.get(residual_key(chi, alphabet, t, d))
             # every enumerated successor of a member must land in the same class
             consistent = target is not None and all(
-                enumerated.get(u + ch, target) == target for u in members[ci]
+                r * k + i >= n or label[r * k + i] == target for r in rs
             )
             row.append(Transition(target, consistent))
         transitions.append(tuple(row))
 
-    classes = tuple(TruncatedPoint(alphabet, d, bits) for bits in class_of)
-    accepting = frozenset(ci for ci, bits in enumerate(class_of) if bits[0] == 1)
-    return ApproxAutomaton(
-        alphabet, d, horizon, classes, tuple(witnesses), tuple(transitions), accepting
-    )
+    classes = tuple(TruncatedPoint(alphabet, d, tuple(key)) for key in class_of)
+    accepting = frozenset(ci for ci, key in enumerate(class_of) if key[0] == 1)
+    return ApproxAutomaton(alphabet, d, horizon, classes, witnesses, tuple(transitions), accepting)
 
 
 @dataclass
@@ -184,12 +171,11 @@ def stabilization_check(spec: LanguageSpec, d: int, horizon: int) -> Stabilizati
     counts = (len(coarse.classes), len(fine.classes))
 
     prefix_len = spec.alphabet.word_count(d)
-    coarse_index = {p: i for i, p in enumerate(coarse.classes)}
+    coarse_index = {p.bits: i for i, p in enumerate(coarse.classes)}
     image = set()
     injective = True
     for p in fine.classes:
-        q = TruncatedPoint(spec.alphabet, d, p.bits[:prefix_len])
-        ci = coarse_index.get(q)
+        ci = coarse_index.get(p.bits[:prefix_len])
         if ci is None:
             raise ConsistencyError("depth truncation left the coarse class set")
         if ci in image:
@@ -240,17 +226,18 @@ def orbit_closure_report(spec: LanguageSpec, d: int, horizon: int) -> ClosureRep
     if horizon < 2:
         raise InputError("horizon must be at least 2")
     alphabet = spec.alphabet
-    chi = characteristic_table(spec, horizon + d)
-    contexts = [("", u) for u in alphabet.words(d)]
-    class_of, members = bucket_by_contexts(chi, contexts, alphabet.words(horizon))
+    chi = chi_bits(spec, horizon + d)
+    levels = alphabet.residual_slices(0, horizon)  # the ranks of the words of each length
+    length = [n for n, s in enumerate(levels) for _ in range(s.start, s.stop)]
+    class_of, members = bucket(residual_key(chi, alphabet, r, d) for r in range(len(length)))
     patterns = tuple(
         ClosurePattern(
-            TruncatedPoint(alphabet, d, bits),
-            len(ws[0]),
-            len(ws[-1]),
-            len(ws),
-            recurrent=2 * len(ws[-1]) > horizon,
+            TruncatedPoint(alphabet, d, tuple(key)),
+            length[rs[0]],
+            length[rs[-1]],
+            len(rs),
+            recurrent=2 * length[rs[-1]] > horizon,
         )
-        for bits, ws in zip(class_of, members)
+        for key, rs in zip(class_of, members)
     )
     return ClosureReport(d, horizon, patterns)

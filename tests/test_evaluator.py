@@ -105,3 +105,21 @@ def test_bitstream_validates_linear_work(monkeypatch):
 
 def test_champernowne_stream_prefix_is_the_sequence():
     assert champernowne_stream().prefix(3000) == champernowne_prefix(3000)
+
+
+def test_unary_builtins_decide_from_the_length(monkeypatch):
+    # a unary builtin is handed word lengths, so it never enumerates words
+    expected_champernowne = champernowne_prefix(5000)
+
+    def no_words(self, max_len):
+        raise AssertionError("a unary builtin enumerated words")
+
+    monkeypatch.setattr(Alphabet, "words", no_words)
+    powers = builtin_language("unary_powers_of_two")
+    assert champernowne_stream().prefix(5000) == expected_champernowne
+    assert BitStream(powers).prefix(5000) == "".join(
+        str(int(bin(n).count("1") == 1)) for n in range(5000)
+    )
+    for n in (0, 1, 2, 3, 4, 5, 63, 64, 65, 1023, 1024, 4999):
+        assert membership(powers, "a" * n) == int(n > 0 and n & (n - 1) == 0)
+        assert membership(champernowne_stream().spec, "a" * n) == int(expected_champernowne[n])

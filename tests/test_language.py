@@ -22,6 +22,7 @@ from nerode import (
     parse_spec_file,
     serialize_spec,
 )
+from nerode.language import _regex_dfa, presented_dfa
 from tests.corpus import REGEX_CORPUS, chain_dfa, regex_spec
 from tests.oracles import (
     all_words,
@@ -386,3 +387,13 @@ def test_deepest_allowed_nesting_compiles():
         assert dfa_words(d, 4) == regex_words(pattern, "ab", 4)
     with pytest.raises(RegexParseError, match="nested deeper than"):
         compile_regex("(" * (n + 1) + "a" + ")" * (n + 1), Alphabet.of("ab"))
+
+
+def test_regex_cache_is_bounded_and_shares_its_dfas():
+    ab = Alphabet.of("ab")
+    for i in range(300):  # 300 distinct patterns: the binary numerals over a, b
+        presented_dfa(LanguageSpec(ab, RegexSpec(format(i, "b").translate({48: "a", 49: "b"}))))
+    info = _regex_dfa.cache_info()
+    assert info.maxsize == 256 and info.currsize <= 256
+    first = presented_dfa(LanguageSpec(ab, RegexSpec("(a|b)*ab")))
+    assert presented_dfa(LanguageSpec(ab, RegexSpec("(a|b)*ab"))) is first
