@@ -69,14 +69,11 @@ class Alphabet:
             raise InputError("word length bound must be non-negative")
         yield ""
         level = [""]
-        for _ in range(max_len):
-            nxt = []
-            for w in level:
-                for ch in self.symbols:
-                    u = w + ch
-                    yield u
-                    nxt.append(u)
-            level = nxt
+        for _ in range(max_len - 1):
+            level = [w + ch for w in level for ch in self.symbols]
+            yield from level
+        if max_len:  # the last level is yielded, never stored
+            yield from (w + ch for w in level for ch in self.symbols)
 
     def word_count(self, max_len: int) -> int:
         """Number of words of length <= max_len."""

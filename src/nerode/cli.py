@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .dfa import Dfa, is_strongly_connected, minimize_dfa
-from .errors import InputError, NerodeError
+from .errors import InputError, NerodeError, SpecFileError
 from .language import LanguageSpec, membership, parse_finals, parse_spec_file, presented_dfa
 from .monoid import (
     FiniteMonoid,
@@ -61,7 +61,13 @@ def load_spec(value: str) -> LanguageSpec:
     except OSError:  # e.g. ENAMETOOLONG: the value cannot name a file, so it is inline
         is_file = False
     if is_file:
-        return parse_spec_file(path.read_text(encoding="utf-8"))
+        raw = path.read_bytes()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = raw.count(b"\n", 0, e.start) + 1
+            raise SpecFileError(f"spec file is not UTF-8: byte 0x{raw[e.start]:02x}", line) from None
+        return parse_spec_file(text)
     return parse_spec_file(value.replace(" / ", "\n"))
 
 

@@ -1,10 +1,13 @@
 """Minimal regular expression fragment: literals, concatenation, '|', '*', '()'.
 
-Compilation goes through Brzozowski derivatives: states of the DFA are
-derivative expressions kept in a normal form (unions as sets of branches
-without the empty language; flattened concatenations), which guarantees
-finitely many dissimilar derivatives.  The result is then minimized, so
-compile_regex always returns the canonical minimal DFA.
+Compilation goes through the position automaton (Glushkov 1961; McNaughton
+& Yamada 1960).  The parser numbers the symbol occurrences of the pattern
+from 1 and computes, for each subexpression, whether it is nullable and its
+first and last positions; it records which positions may follow which.  A
+set of positions is a DFA state: position 0 stands before the first symbol,
+the start state is {0}, and the empty set is the dead state.  The subset
+construction is then minimized, so compile_regex always returns the
+canonical minimal DFA.
 
 An empty pattern or an empty union branch denotes the empty word, e.g.
 "(a|)" matches "a" and "".  There is no literal for the empty language.
@@ -12,143 +15,55 @@ An empty pattern or an empty union branch denotes the empty word, e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .alphabet import Alphabet, bfs_closure
 from .dfa import Dfa, minimize_dfa
 from .errors import RegexParseError
 
-
-class Rex:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Empty(Rex):
-    pass
-
-
-@dataclass(frozen=True)
-class Eps(Rex):
-    pass
-
-
-@dataclass(frozen=True)
-class Sym(Rex):
-    ch: str
-
-
-@dataclass(frozen=True)
-class Cat(Rex):
-    parts: tuple[Rex, ...]
-
-
-@dataclass(frozen=True)
-class Alt(Rex):
-    parts: frozenset[Rex]
-
-
-@dataclass(frozen=True)
-class Star(Rex):
-    inner: Rex
-
-
-EMPTY = Empty()
-EPS = Eps()
-
-
-def cat(*rs: Rex) -> Rex:
-    parts: list[Rex] = []
-    for r in rs:
-        if isinstance(r, Empty):
-            return EMPTY
-        if isinstance(r, Eps):
-            continue
-        if isinstance(r, Cat):
-            parts.extend(r.parts)
-        else:
-            parts.append(r)
-    if not parts:
-        return EPS
-    if len(parts) == 1:
-        return parts[0]
-    return Cat(tuple(parts))
-
-
-def alt(*rs: Rex) -> Rex:
-    parts = frozenset().union(*(r.parts if isinstance(r, Alt) else (r,) for r in rs))
-    parts -= {EMPTY}
-    if not parts:
-        return EMPTY
-    if len(parts) == 1:
-        return next(iter(parts))
-    return Alt(parts)
-
-
-def star(r: Rex) -> Rex:
-    if isinstance(r, (Empty, Eps)):
-        return EPS
-    if isinstance(r, Star):
-        return r
-    return Star(r)
-
-
-def nullable(r: Rex) -> bool:
-    if isinstance(r, (Eps, Star)):
-        return True
-    if isinstance(r, (Empty, Sym)):
-        return False
-    if isinstance(r, Cat):
-        return all(nullable(p) for p in r.parts)
-    return any(nullable(p) for p in r.parts)
-
-
-def deriv(r: Rex, a: str) -> Rex:
-    """Brzozowski derivative: the language of words w with aw in L(r)."""
-    if isinstance(r, (Empty, Eps)):
-        return EMPTY
-    if isinstance(r, Sym):
-        return EPS if r.ch == a else EMPTY
-    if isinstance(r, Alt):
-        return alt(*(deriv(p, a) for p in r.parts))
-    if isinstance(r, Star):
-        return cat(deriv(r.inner, a), r)
-    head, rest = r.parts[0], r.parts[1:]
-    d = cat(deriv(head, a), *rest)
-    if nullable(head):
-        return alt(d, deriv(cat(*rest), a))
-    return d
-
-
-# Deepest parenthesis nesting parse_pattern accepts.  Each level costs the
-# recursive parser three stack frames and deriv, nullable and the node hashes
-# up to six, so 100 levels keep them all well under Python's default
-# recursion limit of 1000.
+# Deepest parenthesis nesting parse_pattern accepts.  Only the parser
+# recurses, at three stack frames per level, so 100 levels stay well under
+# Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 
-def parse_pattern(pattern: str, alphabet: Alphabet) -> Rex:
+def parse_pattern(pattern: str, alphabet: Alphabet) -> tuple[list[int], list[set[int]], set[int]]:
+    """The position automaton of the pattern: (symbol, follow, finals).
+
+    symbol[p] is the alphabet index of position p >= 1, follow[p] the
+    positions that may come right after p (follow[0] those that may come
+    first), and finals the positions a match may end on, 0 if the pattern
+    matches the empty word.
+    """
     pos = 0
     depth = 0
+    symbol = [-1]
+    follow: list[set[int]] = [set()]
 
     def peek() -> str | None:
         return pattern[pos] if pos < len(pattern) else None
 
-    def parse_expr() -> Rex:
+    # each parse_* returns (nullable, first positions, last positions)
+    def parse_expr():
         nonlocal pos
-        branches = [parse_term()]
+        nullable, first, last = parse_term()
         while peek() == "|":
             pos += 1
-            branches.append(parse_term())
-        return alt(*branches)
+            b_null, b_first, b_last = parse_term()
+            nullable, first, last = nullable or b_null, first | b_first, last | b_last
+        return nullable, first, last
 
-    def parse_term() -> Rex:
-        parts = []
+    def parse_term():
+        nullable, first, last = True, set(), set()
         while peek() not in (None, "|", ")"):
-            parts.append(parse_factor())
-        return cat(*parts)
+            f_null, f_first, f_last = parse_factor()
+            for p in last:
+                follow[p] |= f_first
+            if nullable:
+                first = first | f_first
+            last = last | f_last if f_null else f_last
+            nullable = nullable and f_null
+        return nullable, first, last
 
-    def parse_factor() -> Rex:
+    def parse_factor():
         nonlocal pos, depth
         c = peek()
         if c == "(":
@@ -156,7 +71,7 @@ def parse_pattern(pattern: str, alphabet: Alphabet) -> Rex:
                 raise RegexParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             depth += 1
             pos += 1
-            node = parse_expr()
+            nullable, first, last = parse_expr()
             if peek() != ")":
                 raise RegexParseError("expected ')'", pos)
             pos += 1
@@ -164,24 +79,38 @@ def parse_pattern(pattern: str, alphabet: Alphabet) -> Rex:
         elif c == "*":
             raise RegexParseError("nothing to repeat", pos)
         elif c in alphabet:
-            node = Sym(c)
+            p = len(symbol)
+            symbol.append(alphabet.index(c))
+            follow.append(set())
+            nullable, first, last = False, {p}, {p}
             pos += 1
         else:
             raise RegexParseError(f"symbol {c!r} not in alphabet", pos)
         while peek() == "*":
             pos += 1
-            node = star(node)
-        return node
+            nullable = True
+            for p in last:
+                follow[p] |= first
+        return nullable, first, last
 
-    r = parse_expr()
+    nullable, first, last = parse_expr()
     if peek() is not None:
         raise RegexParseError("unbalanced ')'", pos)
-    return r
+    follow[0] = first
+    return symbol, follow, last | {0} if nullable else last
 
 
 def compile_regex(pattern: str, alphabet: Alphabet) -> Dfa:
     """Minimal DFA of the pattern's language over the given alphabet."""
-    root = parse_pattern(pattern, alphabet)
-    c = bfs_closure(root, lambda r: [deriv(r, ch) for ch in alphabet.symbols])
-    finals = frozenset(i for i, r in enumerate(c.items) if nullable(r))
-    return minimize_dfa(Dfa(alphabet, len(c.items), 0, finals, tuple(c.rows)))
+    symbol, follow, finals = parse_pattern(pattern, alphabet)
+
+    def successors(state: frozenset[int]):
+        out = [set() for _ in alphabet.symbols]
+        for p in state:
+            for q in follow[p]:
+                out[symbol[q]].add(q)
+        return map(frozenset, out)
+
+    c = bfs_closure(frozenset({0}), successors)
+    accepting = frozenset(i for i, s in enumerate(c.items) if not finals.isdisjoint(s))
+    return minimize_dfa(Dfa(alphabet, len(c.items), 0, accepting, tuple(c.rows)))

@@ -2,7 +2,7 @@
 
 Everything here recomputes expected values from first principles (itertools
 enumeration, set algebra, product searches) without touching the library's
-derivative compiler, Hopcroft refinement, BFS monoid closure, or the chi
+regex compiler, Hopcroft refinement, BFS monoid closure, or the chi
 tables, so a bug in those code paths cannot cancel out.
 """
 

@@ -59,6 +59,14 @@ def test_minimize_spec_file_path(tmp_path, capsys):
     assert code == 0 and payload["states"] == 2
 
 
+def test_undecodable_spec_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "lang.spec"
+    path.write_bytes(b"alphabet: a\nregex: (aa)*\xff\n")
+    code, out, err = run(capsys, "minimize", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: spec file is not UTF-8: byte 0xff (line 2)\n"
+
+
 def test_minimize_dot(capsys):
     code, out, _ = run(capsys, "minimize", "--spec", AA, "--format", "dot")
     assert code == 0
@@ -281,7 +289,7 @@ def test_output_is_deterministic(capsys):
     assert dot1 == dot2
 
 
-# corpus regexes with a union under a star: their derivatives are unions
+# corpus regexes with a union under a star: their compiled states are sets of positions
 STARRED_UNIONS = [(p, symbols) for p, symbols, _ in REGEX_CORPUS if "|" in p and ")*" in p]
 
 

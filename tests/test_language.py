@@ -382,7 +382,12 @@ def test_deepest_allowed_nesting_compiles():
     from nerode.regex import MAX_NESTING
 
     n = MAX_NESTING
-    for pattern in ("(" * n + "a" + ")" * n, "(" * n + "a" + "b*|a)" * n):
+    for pattern in (
+        "(" * n + "a" + ")" * n,
+        "(" * n + "a" + "b*|a)" * n,
+        "(a" * n + ")*" * n,
+        "(" * n + "a" + ")*b" * n,
+    ):
         d = compile_regex(pattern, Alphabet.of("ab"))
         assert dfa_words(d, 4) == regex_words(pattern, "ab", 4)
     with pytest.raises(RegexParseError, match="nested deeper than"):

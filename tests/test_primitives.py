@@ -10,6 +10,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from nerode import (
+    Alphabet,
     Dfa,
     characteristic_table,
     context_classes,
@@ -46,6 +47,12 @@ def _partition(labels):
     for w, label in labels.items():
         groups.setdefault(label, set()).add(w)
     return {frozenset(g) for g in groups.values()}
+
+
+def test_words_are_the_length_ordered_products():
+    for symbols in ("a", "ba", "abc"):
+        for n in range(6):  # n = 0 and n = 1 build no level list
+            assert list(Alphabet.of(symbols).words(n)) == all_words(symbols, n)
 
 
 @settings(max_examples=60, deadline=None)
