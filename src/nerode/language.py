@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .alphabet import Alphabet, Word, walk_states
@@ -42,20 +41,19 @@ Presentation = RegexSpec | DfaSpec | OracleSpec
 @dataclass(frozen=True)
 class _Builtin:
     default_alphabet: str
-    arity: int
-    decide: Callable[[Word, tuple[int, ...]], int]  # a unary builtin decides from the length
+    decide: Callable[[Word], int]  # a unary builtin decides from the length
     needs: frozenset[str] = frozenset()
     unary: bool = False
 
 
-def _decide_anbn(w: Word, params) -> int:
+def _decide_anbn(w: Word) -> int:
     half, odd = divmod(len(w), 2)
     if odd:
         return 0
     return int(w == "a" * half + "b" * half)
 
 
-def _decide_dyck1(w: Word, params) -> int:
+def _decide_dyck1(w: Word) -> int:
     depth = 0
     for ch in w:
         if ch == "a":
@@ -69,7 +67,7 @@ def _decide_dyck1(w: Word, params) -> int:
     return int(depth == 0)
 
 
-def _decide_powers_of_two(n: int, params) -> int:
+def _decide_powers_of_two(n: int) -> int:
     return int(n >= 1 and n & (n - 1) == 0)
 
 
@@ -87,20 +85,20 @@ def champernowne_bit(i: int) -> int:
         length += 1
 
 
-def _decide_champernowne(n: int, params) -> int:
+def _decide_champernowne(n: int) -> int:
     return champernowne_bit(n)
 
 
-def _decide_even_length(w: Word, params) -> int:
+def _decide_even_length(w: Word) -> int:
     return int(len(w) % 2 == 0)
 
 
 _BUILTINS: dict[str, _Builtin] = {
-    "anbn": _Builtin("ab", 0, _decide_anbn, needs=frozenset("ab")),
-    "dyck1": _Builtin("ab", 0, _decide_dyck1, needs=frozenset("ab")),
-    "unary_powers_of_two": _Builtin("a", 0, _decide_powers_of_two, unary=True),
-    "champernowne_unary": _Builtin("a", 0, _decide_champernowne, unary=True),
-    "even_length": _Builtin("ab", 0, _decide_even_length),
+    "anbn": _Builtin("ab", _decide_anbn, needs=frozenset("ab")),
+    "dyck1": _Builtin("ab", _decide_dyck1, needs=frozenset("ab")),
+    "unary_powers_of_two": _Builtin("a", _decide_powers_of_two, unary=True),
+    "champernowne_unary": _Builtin("a", _decide_champernowne, unary=True),
+    "even_length": _Builtin("ab", _decide_even_length),
 }
 
 
@@ -122,8 +120,8 @@ class LanguageSpec:
                 raise ConfigError(
                     f"unknown builtin {p.name!r}; known: {', '.join(sorted(_BUILTINS))}"
                 )
-            if len(p.params) != info.arity:
-                raise ConfigError(f"builtin {p.name!r} takes {info.arity} parameters")
+            if p.params:
+                raise ConfigError(f"builtin {p.name!r} takes 0 parameters")
             missing = info.needs - set(self.alphabet.symbols)
             if missing:
                 raise ConfigError(
@@ -170,11 +168,11 @@ def residual_bits(spec: LanguageSpec, w: Word, max_len: int) -> Iterator[int]:
     if isinstance(p, OracleSpec):
         info = _BUILTINS[p.name]
         if info.unary:  # the alphabet has one symbol, so words(max_len) has these lengths
-            return map(info.decide, range(len(w), len(w) + max_len + 1), repeat(p.params))
+            return map(info.decide, range(len(w), len(w) + max_len + 1))
         words = spec.alphabet.words(max_len)
         if w:
             words = map(w.__add__, words)
-        return map(info.decide, words, repeat(p.params))
+        return map(info.decide, words)
     d = presented_dfa(spec)
     bit = [int(s in d.finals) for s in range(d.n_states)]  # ints, not bools: bits are printed
     return map(bit.__getitem__, walk_states(d.run(w), d.rows, max_len))
@@ -253,7 +251,7 @@ def parse_spec_file(text: str) -> LanguageSpec:
     alphabet: <symbols>
     followed by exactly one of
       regex: <pattern>
-      builtin: <name> [<int params>]
+      builtin: <name>   (no builtin takes parameters)
       dfa: <n> <initial> <finals csv|->   (then n rows, one target per symbol)
 
     Blank lines are ignored; "-" stands for an empty finals set.
@@ -337,8 +335,7 @@ def serialize_spec(spec: LanguageSpec) -> str:
     if isinstance(p, RegexSpec):
         out.append(f"regex: {p.pattern}")
     elif isinstance(p, OracleSpec):
-        params = "".join(f" {v}" for v in p.params)
-        out.append(f"builtin: {p.name}{params}")
+        out.append(f"builtin: {p.name}")
     else:
         d = p.dfa
         finals = ",".join(str(q) for q in sorted(d.finals)) or "-"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .alphabet import Word, bfs_closure
+from .alphabet import Alphabet, Word, bfs_closure
 from .dfa import Dfa
 from .errors import InputError, ResourceError, UnsupportedPresentationError
 from .language import LanguageSpec, bucket, chi_bits, minimal_dfa, residual_key
@@ -188,13 +188,10 @@ class ContextClassTable:
         return ci
 
 
-def context_classes(spec: LanguageSpec, m: int, n: int, bound: int) -> ContextClassTable:
-    if m < 0 or n < 0:
-        raise InputError("context bounds must be non-negative")
-    if bound < 1:
-        raise InputError("word-length bound must be at least 1")
-    alphabet, k = spec.alphabet, len(spec.alphabet)
-    chi = chi_bits(spec, m + bound + n)
+def _context_buckets(alphabet: Alphabet, chi: bytes, m: int, n: int, bound: int):
+    """Bucket the words of length <= bound by (m, n) context signature, read
+    from a χ that covers the words of length m + bound + n or longer."""
+    k = len(alphabet)
     xs = range(alphabet.word_count(m))  # the ranks of the left contexts x
     # the bits of x·w·y for y in words(n) are the depth-n residual key of
     # rank(x·w) = rank(x)·k^|w| + rank(w); right holds it for every word of length <= m + bound
@@ -204,8 +201,16 @@ def context_classes(spec: LanguageSpec, m: int, n: int, bound: int) -> ContextCl
         for length, s in enumerate(alphabet.residual_slices(0, bound))
         for r in range(s.start, s.stop)
     )
-    index, members = bucket(keys)
-    words = list(alphabet.words(bound))
+    return bucket(keys)
+
+
+def context_classes(spec: LanguageSpec, m: int, n: int, bound: int) -> ContextClassTable:
+    if m < 0 or n < 0:
+        raise InputError("context bounds must be non-negative")
+    if bound < 1:
+        raise InputError("word-length bound must be at least 1")
+    index, members = _context_buckets(spec.alphabet, chi_bits(spec, m + bound + n), m, n, bound)
+    words = list(spec.alphabet.words(bound))
     return ContextClassTable(
         m,
         n,
@@ -242,5 +247,6 @@ def growth_profile(spec: LanguageSpec, kmax: int, bound: int) -> GrowthProfile:
         raise InputError("kmax must be at least 1")
     if bound < kmax:
         raise InputError("word-length bound must be at least kmax")
-    counts = tuple(context_classes(spec, k, k, bound).class_count for k in range(1, kmax + 1))
-    return GrowthProfile(counts, bound)
+    chi = chi_bits(spec, 2 * kmax + bound)
+    counts = [len(_context_buckets(spec.alphabet, chi, k, k, bound)[1]) for k in range(1, kmax + 1)]
+    return GrowthProfile(tuple(counts), bound)

@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import InputError
-from .language import LanguageSpec, builtin_language, champernowne_bit, residual_bits
+from .language import LanguageSpec, builtin_language, champernowne_bit, chi_bits, residual_bits
 
 
 def champernowne_prefix(n: int) -> str:
@@ -101,5 +101,5 @@ def unary_residual_count(spec: LanguageSpec, d: int, horizon: int) -> int:
         raise InputError("depth must be non-negative")
     if horizon < d:
         raise InputError("horizon must be at least the depth")
-    p = BitStream(spec).prefix(horizon + d + 1)
+    p = chi_bits(spec, horizon + d)  # byte m is the bit of the word of length m
     return len({p[m:m + d + 1] for m in range(horizon + 1)})

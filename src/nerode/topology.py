@@ -118,8 +118,13 @@ def nerode_classes(spec: LanguageSpec, d: int, horizon: int) -> ApproxAutomaton:
         raise InputError("depth must be non-negative")
     if horizon < d:
         raise InputError("horizon must be at least the depth")
-    alphabet, k = spec.alphabet, len(spec.alphabet)
-    chi = chi_bits(spec, horizon + d + 1)
+    return _quotient(spec.alphabet, chi_bits(spec, horizon + d + 1), d, horizon)
+
+
+def _quotient(alphabet: Alphabet, chi: bytes, d: int, horizon: int) -> ApproxAutomaton:
+    """nerode_classes read from a χ that covers the words of length
+    horizon + d + 1 or longer, so that one χ serves several depths."""
+    k = len(alphabet)
     n = alphabet.word_count(horizon)  # the enumerated words are the ranks below n
     keys = [residual_key(chi, alphabet, r, d) for r in range(n)]
     class_of, members = bucket(keys)
@@ -166,28 +171,19 @@ class StabilizationVerdict:
 def stabilization_check(spec: LanguageSpec, d: int, horizon: int) -> StabilizationVerdict:
     if horizon < d + 1:
         raise InputError("horizon must be at least depth + 1")
-    coarse = nerode_classes(spec, d, horizon)
-    fine = nerode_classes(spec, d + 1, horizon)
+    if d < 0:
+        raise InputError("depth must be non-negative")
+    chi = chi_bits(spec, horizon + d + 2)
+    coarse = _quotient(spec.alphabet, chi, d, horizon)
+    fine = _quotient(spec.alphabet, chi, d + 1, horizon)
     counts = (len(coarse.classes), len(fine.classes))
-
-    prefix_len = spec.alphabet.word_count(d)
-    coarse_index = {p.bits: i for i, p in enumerate(coarse.classes)}
-    image = set()
-    injective = True
-    for p in fine.classes:
-        ci = coarse_index.get(p.bits[:prefix_len])
-        if ci is None:
-            raise ConsistencyError("depth truncation left the coarse class set")
-        if ci in image:
-            injective = False
-        image.add(ci)
 
     def all_consistent(a: ApproxAutomaton) -> bool:
         return all(tr.consistent and tr.target is not None for row in a.transitions for tr in row)
 
-    stabilized = (
-        counts[0] == counts[1] and injective and all_consistent(coarse) and all_consistent(fine)
-    )
+    # both quotients bucket the same words and the fine partition refines the
+    # coarse one, so equal counts make the refinement a bijection
+    stabilized = counts[0] == counts[1] and all_consistent(coarse) and all_consistent(fine)
     return StabilizationVerdict(
         stabilized,
         (d, d + 1),

@@ -85,6 +85,12 @@ def test_unknown_builtin_exits_2(capsys):
     assert "nosuch" in err
 
 
+def test_builtin_parameters_exit_2(capsys):
+    code, out, err = run(capsys, "monoid", "--spec", "alphabet: ab / builtin: anbn 3")
+    assert code == 2 and out == ""
+    assert err == "error: builtin 'anbn' takes 0 parameters\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

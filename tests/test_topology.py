@@ -16,6 +16,7 @@ from nerode import (
     point_transition,
     residual_truncation,
     stabilization_check,
+    topology,
 )
 from tests.corpus import (
     REGEX_CORPUS,
@@ -201,6 +202,15 @@ def test_stabilization_anbn_growing():
 def test_stabilization_horizon_precondition():
     with pytest.raises(InputError):
         stabilization_check(builtin_language("anbn"), 3, 3)
+
+
+def test_stabilization_rejects_negative_depth_before_building_chi(monkeypatch):
+    def no_chi(spec, max_len):
+        raise AssertionError("χ was built for a negative depth")
+
+    monkeypatch.setattr(topology, "chi_bits", no_chi)
+    with pytest.raises(InputError, match="^depth must be non-negative$"):
+        stabilization_check(builtin_language("anbn"), -1, 5)
 
 
 @pytest.mark.parametrize("pattern,symbols,size", REGEX_CORPUS)
