@@ -73,7 +73,7 @@ from .recognition import (
     verify_recognition,
 )
 from .regex import compile_regex
-from .serialize import export_dot, export_json
+from .serialize import export_dot, export_json, write_json
 from .shift import (
     BitStream,
     DensityReport,

@@ -1,9 +1,11 @@
 """Command-line surface: one subcommand per workbench operation.
 
 Exit codes: 0 success (or a passing verification), 1 verification
-violations found, 2 input/precondition/usage errors.  Output is canonical
-JSON unless --format dot is given (automaton-producing subcommands only);
-`champernowne` emits a plain bit string.
+violations found, 2 input/precondition/usage errors or a stdout closed by
+its reader, 3 an internal error (a bug; one `error: internal:` line on
+stderr).  Output is canonical JSON unless --format dot is given
+(automaton-producing subcommands only); `champernowne` emits a plain bit
+string.
 
 The --spec value is a path if one exists, otherwise an inline spec with
 " / " standing for line breaks, e.g. "alphabet: a / regex: (aa)*".
@@ -12,7 +14,9 @@ The --spec value is a path if one exists, otherwise an inline spec with
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import traceback
 from pathlib import Path
 
 from .dfa import Dfa, is_strongly_connected, minimize_dfa
@@ -33,13 +37,7 @@ from .recognition import (
     minimization_morphism,
     verify_recognition,
 )
-from .serialize import (
-    export_dot,
-    export_json,
-    monoid_dict,
-    morphism_dict,
-    report_dict,
-)
+from .serialize import export_dot, monoid_dict, morphism_dict, report_dict, write_json
 from .shift import BitStream, champernowne_prefix, champernowne_stream, density_check
 from .topology import (
     ApproxAutomaton,
@@ -77,12 +75,12 @@ def _emit(args, payload) -> int:
             raise InputError("this subcommand has no DOT rendering")
         sys.stdout.write(export_dot(payload))
     else:
-        sys.stdout.write(export_json(payload))
+        write_json(payload, sys.stdout.write)
     return 0
 
 
 def _emit_report(report) -> int:
-    sys.stdout.write(export_json(report))
+    write_json(report, sys.stdout.write)
     return 0 if report.passed else 1
 
 
@@ -111,7 +109,7 @@ def cmd_morphism(args) -> int:
     report = check_morphism(phi)
     payload = morphism_dict(phi)
     payload["report"] = report_dict(report)
-    sys.stdout.write(export_json(payload))
+    write_json(payload, sys.stdout.write)
     return 0 if report.passed else 1
 
 
@@ -221,10 +219,21 @@ def main(argv=None) -> int:
         for dest in SPEC_DESTS:
             if getattr(args, dest, None) is not None:
                 setattr(args, dest, load_spec(getattr(args, dest)))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except NerodeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away; what is still buffered goes to devnull so
+        # that the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except Exception as e:
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        print(f"error: internal: {e!r} at {Path(where.filename).name}:{where.lineno}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

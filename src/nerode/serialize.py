@@ -2,12 +2,15 @@
 
 JSON output is deterministic: sorted keys, stable list orders, and a
 `schema` field naming the payload kind.  The shapes are documented in
-docs/schemas.md.
+docs/schemas.md.  The text is that of `json.dumps(payload, sort_keys=True,
+indent=2)` plus a newline, produced by one emitter that either joins it
+(`export_json`) or streams it in blocks (`write_json`).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .dfa import Dfa, access_words
 from .errors import InputError
@@ -112,10 +115,10 @@ def monoid_dict(m: FiniteMonoid, final_elements=None) -> dict:
         "states": m.n_states,
         "order": m.order,
         "elements": [
-            {"index": i, "images": list(e), "witness": m.witnesses[i]}
+            {"index": i, "images": e, "witness": m.witnesses[i]}
             for i, e in enumerate(m.elements)
         ],
-        "table": [list(row) for row in m.table],
+        "table": m.table,
         "generators": dict(sorted(m.generators.items())),
     }
     if final_elements is not None:
@@ -201,14 +204,75 @@ _CONVERTERS = {
 }
 
 
-def export_json(payload) -> str:
-    """Canonical JSON text (sorted keys, two-space indent, trailing newline)."""
+_BLOCK = 1 << 16  # characters per write() call of write_json
+
+
+def _pieces(o, indent: str):
+    """The text of `json.dumps(o, sort_keys=True, indent=2)` nested at
+    `indent`, in pieces.  Strings go through the C string encoder, a list of
+    ints is one join, and any type but str, exact int, bool, None, list,
+    tuple and str-keyed dict is left to json.dumps itself."""
+    kind = type(o)
+    if kind is str:
+        yield encode_basestring_ascii(o)
+    elif kind is int:
+        yield int.__repr__(o)
+    elif o is None or o is True or o is False:
+        yield "null" if o is None else "true" if o else "false"
+    elif (kind is list or kind is tuple or kind is dict) and not o:
+        yield "{}" if kind is dict else "[]"
+    elif kind is list or kind is tuple:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if set(map(type, o)) == {int}:
+            yield f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{indent}]"
+            return
+        yield "[\n" + inner
+        for i, item in enumerate(o):
+            if i:
+                yield sep
+            yield from _pieces(item, inner)
+        yield f"\n{indent}]"
+    elif kind is dict and all(type(key) is str for key in o):
+        inner = indent + "  "
+        lead = "{\n" + inner
+        for key in sorted(o):
+            yield lead + encode_basestring_ascii(key) + ": "
+            yield from _pieces(o[key], inner)
+            lead = ",\n" + inner
+        yield f"\n{indent}}}"
+    else:
+        yield json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _chunks(payload):
+    """Canonical JSON text of a payload dict or a convertible value, in
+    pieces.  The value is converted to a dict before the first piece."""
     if not isinstance(payload, dict):
         conv = _CONVERTERS.get(type(payload))
         if conv is None:
             raise InputError(f"no JSON encoding for {type(payload).__name__}")
         payload = conv(payload)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    yield from _pieces(payload, "")
+    yield "\n"
+
+
+def export_json(payload) -> str:
+    """Canonical JSON text (sorted keys, two-space indent, trailing newline)."""
+    return "".join(_chunks(payload))
+
+
+def write_json(payload, write) -> None:
+    """Pass the canonical JSON text of payload to `write` in blocks of about
+    `_BLOCK` characters, so that no copy of the whole text is held."""
+    block, size = [], 0
+    for piece in _chunks(payload):
+        block.append(piece)
+        size += len(piece)
+        if size >= _BLOCK:
+            write("".join(block))
+            block, size = [], 0
+    write("".join(block))
 
 
 def _quote(s: str) -> str:

@@ -354,3 +354,27 @@ def test_negative_monoid_cap_exits_2(capsys, monkeypatch):
     result = run(capsys, "monoid", "--spec", AA)
     assert _one_error_line(*result)
     assert "NERODE_MONOID_CAP must be at least 1" in result[2]
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # a 7-state DFA whose monoid table prints about 2 MB, far more than a pipe holds
+    spec = "alphabet: ab / dfa: 7 0 0,3 / 5 3 / 0 0 / 6 6 / 6 1 / 6 0 / 0 1 / 1 4"
+    env = dict(os.environ, PYTHONPATH=str(Path(nerode.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "nerode.cli", "monoid", "--spec", spec],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    def boom(d):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(nerode.cli, "is_strongly_connected", boom)
+    code, out, err = run(capsys, "connected", "--spec", AA)
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal: RuntimeError('boom') at test_cli.py:")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

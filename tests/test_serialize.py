@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nerode import (
     InputError,
@@ -10,11 +11,15 @@ from nerode import (
     minimal_dfa,
     nerode_classes,
     orbit_closure_report,
+    parse_spec_file,
+    presented_dfa,
     residual_truncation,
     syntactic_monoid,
     stabilization_check,
+    transition_monoid,
 )
-from nerode.serialize import monoid_dict
+from nerode import serialize
+from nerode.serialize import monoid_dict, write_json
 from tests.corpus import full_language_spec, regex_spec
 
 
@@ -100,3 +105,52 @@ def test_dot_deterministic():
 def test_dot_unknown_type_rejected():
     with pytest.raises(InputError):
         export_dot(42)
+
+
+class _Int(int):
+    def __repr__(self):  # json.dumps ignores this, and so must the emitter
+        return "not json"
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('ε\U0001f600"\\\n\t\x00\x1f\x7f')), max_size=6)
+_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40), _TEXT,
+    st.floats(), st.builds(_Int, st.integers(-9, 9)),
+)
+_TREE = st.recursive(
+    _LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(-300, 10**6), max_size=5),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.dictionaries(st.integers(-5, 5), inner, max_size=3),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_TEXT, _TREE, max_size=5))
+def test_emitter_matches_json_dumps(payload):
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert export_json(payload) == want
+    parts = []
+    write_json(payload, parts.append)
+    assert "".join(parts) == want
+
+
+def test_write_json_streams_a_monoid_in_blocks():
+    rows = "5 3\n0 0\n6 6\n6 1\n6 0\n0 1\n1 4"  # order 439
+    payload = monoid_dict(transition_monoid(presented_dfa(parse_spec_file(f"alphabet: ab\ndfa: 7 0 0,3\n{rows}"))))
+    parts = []
+    write_json(payload, parts.append)
+    assert len(parts) > 1 and all(len(part) >= serialize._BLOCK for part in parts[:-1])
+    assert "".join(parts) == export_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_json_writes_nothing_for_an_unknown_type():
+    parts = []
+    with pytest.raises(InputError):
+        write_json(object(), parts.append)
+    assert parts == []
