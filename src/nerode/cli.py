@@ -9,6 +9,9 @@ string.
 
 The --spec value is a path if one exists, otherwise an inline spec with
 " / " standing for line breaks, e.g. "alphabet: a / regex: (aa)*".
+
+From Python, `main(argv) -> int` may be called any number of times in one
+process; the argument parser is built once, when this module is imported.
 """
 
 from __future__ import annotations
@@ -209,10 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: the parser depends only on COMMANDS and the flag
+# constants, and parse_args returns a fresh Namespace on every call.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -72,7 +72,10 @@ def minimization_morphism(
 
     Requires every state reachable (trimness) and L(d) = L(spec): exact via
     the product automaton for rational specs, bounded-word check otherwise.
+    The bound is checked for every spec, although only an oracle reads it.
     """
+    if bound < 0:
+        raise InputError("word length bound must be non-negative")
     access = access_words(d)
     unreachable = sorted(set(range(d.n_states)) - set(access))
     if unreachable:

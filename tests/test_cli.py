@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -319,6 +320,9 @@ def test_help_exits_0(capsys):
 @pytest.mark.parametrize("bad_flag_cmd", [
     ["stabilize", "--spec", AA, "--depth", "3", "--horizon", "3"],
     ["residual", "--spec", AA, "--word", "a", "--depth", "-1"],
+    # a rational spec never reads the bound, which is still checked
+    ["morphism", "--spec", AA, "--dfa", CHAIN, "--bound", "-1"],
+    ["induced-hom", "--spec", AA, "--dfa", CHAIN, "--bound", "-1"],
 ])
 def test_precondition_errors_exit_2(capsys, bad_flag_cmd):
     assert run(capsys, *bad_flag_cmd)[0] == 2
@@ -378,3 +382,62 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("error: internal: RuntimeError('boom') at test_cli.py:")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# --- one parser per process ------------------------------------------------
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    nerode.cli.build_parser()
+    assert len(built) == 1 + len(nerode.cli.COMMANDS)  # the counter sees every parser
+    built.clear()
+    for argv in (["membership", "--spec", AA, "--word", "aa"], ["minimize", "--spec", AA],
+                 ["frobnicate"], ["champernowne", "--prefix", "5"]):
+        main(argv)
+    capsys.readouterr()
+    assert built == []
+
+
+def test_a_flag_does_not_outlive_its_call(capsys):
+    deep = run(capsys, "residual", "--spec", AA, "--word", "a", "--depth", "5")
+    default = run(capsys, "residual", "--spec", AA, "--word", "a")
+    assert deep != default
+    assert default == run(capsys, "residual", "--spec", AA, "--word", "a", "--depth", "3")
+
+
+def test_a_usage_error_leaves_the_next_call_alone(capsys):
+    valid = run(capsys, "nerode", "--spec", AA, "--depth", "2", "--horizon", "5")
+    code, out, err = run(capsys, "nerode", "--spec", AA, "--depth", "x")
+    assert code == 2 and out == "" and "usage:" in err
+    assert run(capsys, "nerode", "--spec", AA, "--depth", "2", "--horizon", "5") == valid
+
+
+def test_help_lists_every_subcommand_and_leaves_the_next_call_alone(capsys):
+    valid = run(capsys, "minimize", "--spec", AA)
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    for name, *_ in nerode.cli.COMMANDS:
+        assert name in out
+    assert len(nerode.cli.COMMANDS) == 18
+    assert run(capsys, "minimize", "--spec", AA) == valid
+
+
+def test_a_fixed_argv_sequence_repeats_exactly(capsys):
+    argvs = [
+        ["stabilize", "--spec", AA, "--depth", "1", "--horizon", "5"],
+        ["recognize", "--spec", AA, "--monoid", Z4, "--finals", "0,2", "--bound", "6"],
+        ["minimize", "--spec", AA, "--bogus", "1"],
+        ["density", "--k", "2", "--prefix", "30"],
+        ["residual", "--spec", AA, "--word", "", "--depth", "-1"],
+    ]
+    first = [run(capsys, *argv) for argv in argvs]
+    assert [run(capsys, *argv) for argv in argvs] == first
+    assert [code for code, _, _ in first] == [0, 0, 2, 0, 2]

@@ -65,6 +65,12 @@ def test_morphism_detects_language_mismatch_exactly():
     assert e.value.witness == "a"
 
 
+@pytest.mark.parametrize("spec", [regex_spec("(aa)*", "a"), builtin_language("even_length")])
+def test_morphism_rejects_negative_bound_for_every_spec(spec):
+    with pytest.raises(InputError, match="word length bound must be non-negative"):
+        minimization_morphism(chain_dfa(), spec, bound=-1)
+
+
 def test_morphism_detects_oracle_mismatch_by_bounded_scan():
     # chain accepts even-length unary words; powers-of-two oracle differs at 'a'... no:
     # chain accepts "" (length 0) but the oracle rejects it
