@@ -3,7 +3,10 @@
 Elements are image tuples (state i maps to images[i]); composition is in
 action order, so table[i][j] is "apply i, then j", matching the right action
 of words on states.  Breadth-first closure over the generators assigns each
-element its shortest length-lex witness word and a canonical index.
+element its shortest length-lex witness word and a canonical index.  Each
+row of the Cayley table is an array.array of the smallest unsigned typecode
+that holds every index, so up to order 65 536 the order-squared table takes
+1 or 2 bytes per cell.
 
 The syntactic monoid of a rational language is the transition monoid of its
 minimal DFA, together with the final element set F = {s : s(initial) in
@@ -16,6 +19,7 @@ contexts put them in the language.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass, field
 
 from .alphabet import Alphabet, Word, bfs_closure
@@ -32,6 +36,11 @@ CAP_ENV_VAR = "NERODE_MONOID_CAP"
 def compose(f: Transformation, g: Transformation) -> Transformation:
     """Apply f, then g."""
     return tuple(g[x] for x in f)
+
+
+def _typecode(order: int) -> str:
+    """The smallest unsigned array typecode that holds the indices 0..order-1."""
+    return "B" if order <= 1 << 8 else "H" if order <= 1 << 16 else "L"
 
 
 def _resolve_cap(cap: int | None) -> int:
@@ -55,12 +64,14 @@ class FiniteMonoid:
     """Transformation monoid with multiplication table and word witnesses.
 
     elements[0] is the identity (witness: the empty word); table[i][j] is the
-    index of elements[i] followed by elements[j].
+    index of elements[i] followed by elements[j].  Each row table[i] is an
+    array.array of the smallest unsigned typecode that holds every index,
+    indexed like a tuple and read-only by convention.
     """
 
     n_states: int
     elements: tuple[Transformation, ...]
-    table: tuple[tuple[int, ...], ...]
+    table: tuple[array, ...]
     generators: dict[str, int]
     witnesses: tuple[Word, ...]
 
@@ -105,7 +116,8 @@ def monoid_from_generators(
 
     c = bfs_closure(tuple(range(n_states)), lambda f: [compose(f, g) for g in gens], admit)
     elements, index = c.items, c.index
-    table = tuple(tuple(index[compose(f, g)] for g in elements) for f in elements)
+    code = _typecode(len(elements))
+    table = tuple(array(code, [index[compose(f, g)] for g in elements]) for f in elements)
     gen_map = {ch: index[tuple(g)] for ch, g in generators.items()}
     witnesses = c.witnesses(list(generators))
     return FiniteMonoid(n_states, tuple(elements), table, gen_map, tuple(witnesses))

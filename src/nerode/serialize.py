@@ -110,6 +110,7 @@ def closure_dict(r: ClosureReport) -> dict:
 
 
 def monoid_dict(m: FiniteMonoid, final_elements=None) -> dict:
+    ints = list(range(m.order))  # one shared int per index, none per cell
     out = {
         "schema": _schema("monoid"),
         "states": m.n_states,
@@ -118,7 +119,7 @@ def monoid_dict(m: FiniteMonoid, final_elements=None) -> dict:
             {"index": i, "images": e, "witness": m.witnesses[i]}
             for i, e in enumerate(m.elements)
         ],
-        "table": m.table,
+        "table": [list(map(ints.__getitem__, row)) for row in m.table],
         "generators": dict(sorted(m.generators.items())),
     }
     if final_elements is not None:

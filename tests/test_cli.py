@@ -368,7 +368,8 @@ def test_closed_stdout_exits_2_without_traceback():
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 2
     assert err == b""
 

@@ -1,8 +1,16 @@
+import copy
 import itertools
+import pickle
+import random
+import sys
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nerode import (
+    Alphabet,
+    Dfa,
     InputError,
     ResourceError,
     UnsupportedPresentationError,
@@ -17,6 +25,7 @@ from nerode import (
     syntactic_monoid,
     transition_monoid,
 )
+from nerode.monoid import _typecode
 from tests.corpus import (
     REGEX_CORPUS,
     chain_dfa,
@@ -24,7 +33,8 @@ from tests.corpus import (
     full_language_spec,
     regex_spec,
 )
-from tests.oracles import all_words, context_class_count, word_actions
+from tests.oracles import all_words, context_class_count, random_trim_dfa, word_actions
+from tests.test_golden import BIG
 
 
 def corpus_monoids():
@@ -111,6 +121,57 @@ def test_monoid_cap_env_override(monkeypatch):
 def test_monoid_generator_validation():
     with pytest.raises(InputError):
         monoid_from_generators(2, {"a": (0, 5)})
+
+
+# --- compact Cayley table ---------------------------------------------------
+
+
+@pytest.mark.parametrize("order,code", [(1, "B"), (256, "B"), (257, "H"), (65_536, "H"), (65_537, "L")])
+def test_table_typecode_is_the_smallest_that_holds_every_index(order, code):
+    # the helper is tested directly: an order above 65 536 means more than 4·10⁹ cells
+    assert _typecode(order) == code
+    assert array(code, [order - 1])[0] == order - 1
+    if code != "B":
+        with pytest.raises(OverflowError):
+            array("B" if code == "H" else "H", [order - 1])
+
+
+@pytest.mark.parametrize("n,code", [(256, "B"), (257, "H")])
+def test_cycle_monoid_rows_use_the_smallest_typecode(n, code):
+    m = transition_monoid(cycle_dfa(n, {0}))
+    assert m.order == n
+    assert {row.typecode for row in m.table} == {code}
+    assert all(m.table[i][j] == (i + j) % n for i in range(n) for j in range(n))
+
+
+def big_monoid():
+    symbols, n, initial, finals, rows = BIG
+    finals = frozenset(map(int, finals.split(",")))
+    return transition_monoid(Dfa(Alphabet.of(symbols), n, initial, finals, rows))
+
+
+def test_monoid_survives_pickle_and_deepcopy():
+    for m in [*corpus_monoids(), big_monoid()]:
+        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert twin == m
+            assert [row.typecode for row in twin.table] == [row.typecode for row in m.table]
+
+
+def test_table_takes_about_two_bytes_per_cell():
+    m = big_monoid()
+    order = m.order
+    assert order == 439
+    # tuple rows of ints take 8 bytes of pointer per cell and fail this at 1 559 328 bytes
+    assert sum(map(sys.getsizeof, m.table)) <= 2 * order**2 + 128 * order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_table_matches_compose_on_random_dfas(seed):
+    m = transition_monoid(random_trim_dfa(random.Random(seed), max_states=4))
+    assert {row.typecode for row in m.table} == {_typecode(m.order)}
+    for i, j in itertools.product(range(m.order), repeat=2):
+        assert m.elements[m.table[i][j]] == compose(m.elements[i], m.elements[j])
 
 
 # --- syntactic monoids ------------------------------------------------------
