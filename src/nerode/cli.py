@@ -3,9 +3,9 @@
 Exit codes: 0 success (or a passing verification), 1 verification
 violations found, 2 input/precondition/usage errors or a stdout closed by
 its reader, 3 an internal error (a bug; one `error: internal:` line on
-stderr).  Output is canonical JSON unless --format dot is given
-(automaton-producing subcommands only); `champernowne` emits a plain bit
-string.
+stderr).  Output is canonical JSON; `champernowne` emits a plain bit
+string.  Only `minimize` and `nerode`, whose results are automata, take
+--format dot; every other subcommand rejects --format as a usage error.
 
 The --spec value is a path if one exists, otherwise an inline spec with
 " / " standing for line breaks, e.g. "alphabet: a / regex: (aa)*".
@@ -22,7 +22,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .dfa import Dfa, is_strongly_connected, minimize_dfa
+from .dfa import is_strongly_connected, minimize_dfa
 from .errors import InputError, NerodeError, SpecFileError
 from .language import LanguageSpec, membership, parse_finals, parse_spec_file, presented_dfa
 from .monoid import (
@@ -34,6 +34,7 @@ from .monoid import (
     transition_monoid,
 )
 from .recognition import (
+    DEFAULT_WORD_BOUND,
     check_morphism,
     induced_hom,
     minimal_monoid_hom,
@@ -43,7 +44,6 @@ from .recognition import (
 from .serialize import export_dot, monoid_dict, morphism_dict, report_dict, write_json
 from .shift import BitStream, champernowne_prefix, champernowne_stream, density_check
 from .topology import (
-    ApproxAutomaton,
     nerode_classes,
     orbit_closure_report,
     residual_truncation,
@@ -52,7 +52,6 @@ from .topology import (
 
 DEFAULT_DEPTH = 3
 DEFAULT_HORIZON = 8
-DEFAULT_BOUND = 12
 
 
 def load_spec(value: str) -> LanguageSpec:
@@ -62,7 +61,10 @@ def load_spec(value: str) -> LanguageSpec:
     except OSError:  # e.g. ENAMETOOLONG: the value cannot name a file, so it is inline
         is_file = False
     if is_file:
-        raw = path.read_bytes()
+        try:
+            raw = path.read_bytes()
+        except OSError as e:  # e.g. no read permission, or removed since is_file()
+            raise InputError(f"cannot read spec file {value}: {e.strerror}") from None
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -72,10 +74,8 @@ def load_spec(value: str) -> LanguageSpec:
     return parse_spec_file(value.replace(" / ", "\n"))
 
 
-def _emit(args, payload) -> int:
-    if args.format == "dot":
-        if not isinstance(payload, (Dfa, ApproxAutomaton)):
-            raise InputError("this subcommand has no DOT rendering")
+def _emit(payload, fmt: str = "json") -> int:
+    if fmt == "dot":
         sys.stdout.write(export_dot(payload))
     else:
         write_json(payload, sys.stdout.write)
@@ -104,7 +104,7 @@ def cmd_idempotents(args) -> int:
             k += 1
         items.append({"element": s, "witness": m.witnesses[s], "idempotent": e, "exponent": k})
     payload = {"schema": "nerode/idempotents/1", "order": m.order, "items": items}
-    return _emit(args, payload)
+    return _emit(payload)
 
 
 def cmd_morphism(args) -> int:
@@ -128,73 +128,72 @@ def cmd_connected(args) -> int:
         "states": d.n_states,
         "strongly_connected": is_strongly_connected(d),
     }
-    return _emit(args, payload)
+    return _emit(payload)
 
 
 # Flags as (name, add_argument keywords).  The values of SPEC_DESTS are spec
 # texts; main() parses them, in that order, before a handler runs.
 _SPEC_HELP = "spec file path or inline spec (' / ' = newline)"
 SPEC = ("--spec", {"required": True, "help": _SPEC_HELP})
-# an empty --spec to density means the Champernowne stream, like no --spec
-OPTIONAL_SPEC = ("--spec", {"required": False, "help": _SPEC_HELP, "type": lambda text: text or None})
 DFA = ("--dfa", {"required": True, "help": "spec for the source DFA"})
 MONOID = ("--monoid", {"required": True, "help": "spec for a DFA whose transition monoid is used"})
 FINALS = ("--finals", {"required": True, "help": "comma-separated element indices ('-' for none)"})
 WORD = ("--word", {"required": True})
 DEPTH = ("--depth", {"type": int, "default": DEFAULT_DEPTH})
 HORIZON = ("--horizon", {"type": int, "default": DEFAULT_HORIZON})
-BOUND = ("--bound", {"type": int, "default": DEFAULT_BOUND})
+BOUND = ("--bound", {"type": int, "default": DEFAULT_WORD_BOUND})
 FORMAT = ("--format", {"choices": ["json", "dot"], "default": "json"})
 SPEC_DESTS = ("spec", "dfa", "monoid")
 
 # (name, help, flags, handler) for every subcommand, in --help order; a
-# handler returns the exit status.  Only automata have a DOT rendering.
+# handler returns the exit status.  Only the automata of minimize and nerode
+# have a DOT rendering, so only they take --format.
 COMMANDS = (
-    ("membership", "evaluate the characteristic function on one word", (SPEC, WORD, FORMAT),
-     lambda a: _emit(a, {"schema": "nerode/membership/1", "word": a.word,
-                         "member": membership(a.spec, a.word)})),
+    ("membership", "evaluate the characteristic function on one word", (SPEC, WORD),
+     lambda a: _emit({"schema": "nerode/membership/1", "word": a.word,
+                      "member": membership(a.spec, a.word)})),
     ("minimize", "canonical minimal DFA of a rational spec", (SPEC, FORMAT),
-     lambda a: _emit(a, minimize_dfa(presented_dfa(a.spec)))),
-    ("residual", "depth-d truncation of the residual of a word", (SPEC, WORD, DEPTH, FORMAT),
-     lambda a: _emit(a, residual_truncation(a.spec, a.word, a.depth))),
+     lambda a: _emit(minimize_dfa(presented_dfa(a.spec)), a.format)),
+    ("residual", "depth-d truncation of the residual of a word", (SPEC, WORD, DEPTH),
+     lambda a: _emit(residual_truncation(a.spec, a.word, a.depth))),
     ("nerode", "depth-d quotient of the enumerated residuals", (SPEC, DEPTH, HORIZON, FORMAT),
-     lambda a: _emit(a, nerode_classes(a.spec, a.depth, a.horizon))),
-    ("stabilize", "compare depth-d and depth-(d+1) quotients", (SPEC, DEPTH, HORIZON, FORMAT),
-     lambda a: _emit(a, stabilization_check(a.spec, a.depth, a.horizon))),
-    ("closure", "occurrence statistics of depth-d residual patterns", (SPEC, DEPTH, HORIZON, FORMAT),
-     lambda a: _emit(a, orbit_closure_report(a.spec, a.depth, a.horizon))),
-    ("monoid", "transition monoid of the presented DFA", (SPEC, FORMAT),
-     lambda a: _emit(a, transition_monoid(presented_dfa(a.spec)))),
-    ("syntactic", "syntactic monoid and recognizing subset", (SPEC, FORMAT),
-     lambda a: _emit(a, monoid_dict(*syntactic_monoid(a.spec)))),
-    ("idempotents", "idempotent power of every transition monoid element", (SPEC, FORMAT),
+     lambda a: _emit(nerode_classes(a.spec, a.depth, a.horizon), a.format)),
+    ("stabilize", "compare depth-d and depth-(d+1) quotients", (SPEC, DEPTH, HORIZON),
+     lambda a: _emit(stabilization_check(a.spec, a.depth, a.horizon))),
+    ("closure", "occurrence statistics of depth-d residual patterns", (SPEC, DEPTH, HORIZON),
+     lambda a: _emit(orbit_closure_report(a.spec, a.depth, a.horizon))),
+    ("monoid", "transition monoid of the presented DFA", (SPEC,),
+     lambda a: _emit(transition_monoid(presented_dfa(a.spec)))),
+    ("syntactic", "syntactic monoid and recognizing subset", (SPEC,),
+     lambda a: _emit(monoid_dict(*syntactic_monoid(a.spec)))),
+    ("idempotents", "idempotent power of every transition monoid element", (SPEC,),
      cmd_idempotents),
     ("contexts", "bounded-context classes of words",
      (SPEC, ("--left", {"type": int, "default": 1}), ("--right", {"type": int, "default": 1}),
-      BOUND, FORMAT),
-     lambda a: _emit(a, context_classes(a.spec, a.left, a.right, a.bound))),
+      BOUND),
+     lambda a: _emit(context_classes(a.spec, a.left, a.right, a.bound))),
     ("growth", "context class counts at bounds (k,k), k=1..kmax",
-     (SPEC, ("--k", {"type": int, "default": 3}), BOUND, FORMAT),
-     lambda a: _emit(a, growth_profile(a.spec, a.k, a.bound))),
-    ("morphism", "morphism from a trim DFA onto the minimal DFA, checked", (SPEC, DFA, BOUND, FORMAT),
+     (SPEC, ("--k", {"type": int, "default": 3}), BOUND),
+     lambda a: _emit(growth_profile(a.spec, a.k, a.bound))),
+    ("morphism", "morphism from a trim DFA onto the minimal DFA, checked", (SPEC, DFA, BOUND),
      cmd_morphism),
     ("induced-hom", "monoid homomorphism induced by the minimization morphism",
-     (SPEC, DFA, BOUND, FORMAT),
-     lambda a: _emit(a, induced_hom(minimization_morphism(presented_dfa(a.dfa), a.spec, a.bound)))),
+     (SPEC, DFA, BOUND),
+     lambda a: _emit(induced_hom(minimization_morphism(presented_dfa(a.dfa), a.spec, a.bound)))),
     ("recognize", "check that a monoid/final-set pair recognizes the language",
-     (SPEC, MONOID, FINALS, BOUND, FORMAT),
+     (SPEC, MONOID, FINALS, BOUND),
      lambda a: _emit_report(verify_recognition(*_recognizer(a), a.spec, a.bound))),
     ("min-hom", "collapse a recognizing monoid onto the syntactic monoid",
-     (SPEC, MONOID, FINALS, BOUND, FORMAT),
-     lambda a: _emit(a, minimal_monoid_hom(*_recognizer(a), a.spec, a.bound))),
+     (SPEC, MONOID, FINALS, BOUND),
+     lambda a: _emit(minimal_monoid_hom(*_recognizer(a), a.spec, a.bound))),
     ("champernowne", "prefix of the dense-orbit bit sequence",
      (("--prefix", {"type": int, "required": True}),), cmd_champernowne),
     ("density", "which length-k patterns occur in a stream prefix",
-     (OPTIONAL_SPEC, ("--k", {"type": int, "required": True}),
-      ("--prefix", {"type": int, "required": True}), FORMAT),
+     (("--spec", {"help": _SPEC_HELP}), ("--k", {"type": int, "required": True}),
+      ("--prefix", {"type": int, "required": True})),
      lambda a: _emit_report(
          density_check(BitStream(a.spec) if a.spec else champernowne_stream(), a.k, a.prefix))),
-    ("connected", "strong connectivity of the minimal DFA", (SPEC, FORMAT), cmd_connected),
+    ("connected", "strong connectivity of the minimal DFA", (SPEC,), cmd_connected),
 )
 
 

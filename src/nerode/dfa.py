@@ -56,8 +56,8 @@ class Dfa:
     def accepting(self) -> frozenset[int]:
         return self.finals
 
-    def run(self, word: Word, start: int | None = None) -> int:
-        state = self.initial if start is None else start
+    def run(self, word: Word) -> int:
+        state = self.initial
         for ch in word:
             state = self.rows[state][self.alphabet.index(ch)]
         return state

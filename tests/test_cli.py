@@ -68,6 +68,19 @@ def test_undecodable_spec_file_exits_2(tmp_path, capsys):
     assert err == "error: spec file is not UTF-8: byte 0xff (line 2)\n"
 
 
+def test_unreadable_spec_file_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "lang.spec"
+    path.write_text("alphabet: a\nregex: (aa)*\n", encoding="utf-8")
+
+    def denied(self):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_bytes", denied)
+    result = run(capsys, "minimize", "--spec", str(path))
+    assert _one_error_line(*result)
+    assert result[2] == f"error: cannot read spec file {path}: Permission denied\n"
+
+
 def test_minimize_dot(capsys):
     code, out, _ = run(capsys, "minimize", "--spec", AA, "--format", "dot")
     assert code == 0
@@ -275,6 +288,12 @@ def test_density_custom_unary_spec(capsys):
     assert payload["missing"] == ["0"]
 
 
+def test_density_empty_spec_exits_2(capsys):
+    result = run(capsys, "density", "--spec", "", "--k", "2", "--prefix", "10")
+    assert _one_error_line(*result)
+    assert result[2] == "error: empty spec (line 1)\n"
+
+
 def test_connected(capsys):
     code, payload, _ = run_json(capsys, "connected", "--spec", "alphabet: ab / regex: (a|b)*ab")
     assert code == 0
@@ -311,6 +330,23 @@ def test_output_is_independent_of_the_hash_seed(command):
     for pattern, symbols in STARRED_UNIONS:
         argv = [*command, "--spec", f"alphabet: {symbols} / regex: {pattern}"]
         assert _cli_stdout(0, argv) == _cli_stdout(1, argv), argv
+
+
+def test_only_minimize_and_nerode_take_format():
+    takes = [name for name, _, flags, _ in nerode.cli.COMMANDS if any(flag == "--format" for flag, _ in flags)]
+    assert takes == ["minimize", "nerode"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["recognize", "--spec", AA, "--monoid", Z4, "--finals", "0,2", "--bound", "6"],
+    ["density", "--k", "2", "--prefix", "10"],
+    ["morphism", "--spec", AA, "--dfa", CHAIN, "--bound", "6"],
+])
+def test_format_dot_is_a_usage_error_without_a_dot_rendering(capsys, argv):
+    assert run(capsys, *argv)[0] in (0, 1)
+    code, out, err = run(capsys, *argv, "--format", "dot")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: nerode") and "unrecognized arguments: --format dot" in err
 
 
 def test_help_exits_0(capsys):

@@ -6,9 +6,9 @@ slow) and to each other flag half the time.  The values come from small
 pools: the corpus regexes, the builtins and a few DFAs as specs, ints from
 -1 to 6, prefixes up to 60 and awkward --finals lists.  Whatever the input,
 the exit code is 0, 1 or 2, no traceback reaches stderr, an exit 2 says why
-in one `error:` line or in argparse's usage, and JSON output parses.  The
-values are small so that most argv lists reach library code, and the
-monoid cap is small so that none runs long.
+in one `error:` line or in argparse's usage, JSON output parses and DOT
+output is a `digraph`.  The values are small so that most argv lists reach
+library code, and the monoid cap is small so that none runs long.
 """
 
 import contextlib
@@ -82,7 +82,9 @@ def check_contract(argv, code, out, err):
         one_line = len(lines) == 1 and lines[0].startswith("error: ")
         usage = err.startswith("usage: nerode") and ": error: " in lines[-1]
         assert out == "" and (one_line or usage), (argv, out, err)
-    elif argv[0] != "champernowne" and not dot:
+    elif dot:
+        assert code == 0 and out.startswith("digraph automaton {"), (argv, code, out)
+    elif argv[0] != "champernowne":
         json.loads(out)
 
 

@@ -120,8 +120,6 @@ ERRORS = [
     ["minimize", "--spec", "alphabet: a / dfa: 2 0 0 / 1 / 5"],
     ["minimize", "--spec", "alphabet: ab / frobnicate: 1"],
     ["residual", "--spec", "alphabet: a / regex: a*", "--word", "", "--depth", "-1"],
-    ["residual", "--spec", "alphabet: a / regex: a*", "--word", "", "--format", "dot"],
-    ["monoid", "--spec", "alphabet: a / regex: a*", "--format", "dot"],
     ["recognize", "--spec", "alphabet: a / regex: a*", "--monoid", "alphabet: a / regex: a*",
      "--finals", "1,,2"],
     ["min-hom", "--spec", "alphabet: a / regex: (aa)*", "--monoid", "alphabet: a / regex: (aa)*",
@@ -138,6 +136,9 @@ USAGE = [
     ["minimize", "--spec", "alphabet: a / regex: a", "--bogus", "1"],
     ["residual", "--spec", "alphabet: a / regex: a", "--word", "", "--depth", "x"],
     ["minimize", "--spec", "alphabet: a / regex: a", "--format", "svg"],
+    # only minimize and nerode take --format
+    ["residual", "--spec", "alphabet: a / regex: a*", "--word", "", "--format", "dot"],
+    ["monoid", "--spec", "alphabet: a / regex: a*", "--format", "dot"],
 ]
 
 
