@@ -5,12 +5,12 @@ symbols are allowed and, crucially, their order.  Every enumeration in the
 workbench is length-lexicographic with ties broken by *alphabet* order (not
 ASCII order), so all outputs are reproducible bit for bit.
 
-The order is bijective base-k numeration (Alphabet.rank), so a table of
-one entry per word is a flat sequence indexed by rank, and residual_slices
-says where the extensions w·u of a word sit in it.  Two explorations share
-that order: walk_states pushes one state through a transition table along
-every word, and bfs_closure finds everything a start item reaches, with
-shortest length-lex witnesses.
+The order is bijective base-k numeration (rank, inverted by unrank), so a
+table of one entry per word is a flat sequence indexed by rank, and a word
+is built from its rank only where output prints it.  residual_slices says
+where the extensions w·u of a word sit in such a table.  walk_states yields
+the state each rank leads to, and bfs_closure finds everything a start item
+reaches, with shortest length-lex witnesses.
 """
 
 from __future__ import annotations
@@ -91,6 +91,16 @@ class Alphabet:
             r = r * k + self.index(ch) + 1
         return r
 
+    def unrank(self, r: int) -> Word:
+        """The word of rank r: the inverse of rank."""
+        if r < 0:
+            raise InputError("word rank must be non-negative")
+        out = []
+        while r:
+            r, digit = divmod(r - 1, len(self.symbols))
+            out.append(self.symbols[digit])
+        return "".join(reversed(out))
+
     def residual_slices(self, r: int, depth: int) -> list[slice]:
         """Where the words w·u with |u| <= depth sit in length-lex order, w
         the word of rank r: one slice per length n of u, in the order of u
@@ -106,12 +116,10 @@ class Alphabet:
 
 
 def walk_states(start: int, rows: Sequence[Sequence[int]], max_len: int) -> Iterator[int]:
-    """States reached from start by every word of length <= max_len, in the
-    length-lex order of Alphabet.words(max_len).
-
-    rows[s][k] is the successor of state s on the k-th symbol, so
-    zip(alphabet.words(max_len), walk_states(start, rows, max_len)) pairs
-    each word with the state it leads to, one table step per word.
+    """States reached from start by every word of length <= max_len, in
+    length-lex order: the n-th state yielded is the one the word of rank n
+    leads to, one table step per word.  rows[s][k] is the successor of
+    state s on the k-th symbol.
     """
     yield start
     level = [start]

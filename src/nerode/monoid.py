@@ -174,30 +174,35 @@ class ContextClassTable:
     |x| <= left and |y| <= right put them in the language.  As the bounds
     grow these partitions converge to the syntactic congruence, so the class
     count is a lower bound for the syntactic monoid's order.
+
+    labels[r] is the class of the word of rank r, in the smallest unsigned
+    array typecode; members and class_of are derived from it on each call.
     """
 
+    alphabet: Alphabet
     left: int
     right: int
     bound: int
     representatives: tuple[Word, ...]
     sizes: tuple[int, ...]
     signatures: tuple[tuple[int, ...], ...]
-    members: tuple[tuple[Word, ...], ...]
-    _index: dict[Word, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {w: i for i, ws in enumerate(self.members) for w in ws}
+    labels: array = field(repr=False)
 
     @property
     def class_count(self) -> int:
         return len(self.representatives)
 
+    @property
+    def members(self) -> tuple[tuple[Word, ...], ...]:
+        out = [[] for _ in self.representatives]
+        for r, ci in enumerate(self.labels):
+            out[ci].append(self.alphabet.unrank(r))
+        return tuple(map(tuple, out))
+
     def class_of(self, u: Word) -> int:
-        ci = self._index.get(u)
-        if ci is None:
+        if len(u) > self.bound:
             raise InputError(f"word {u!r} was not enumerated (bound {self.bound})")
-        return ci
+        return self.labels[self.alphabet.rank(u)]
 
 
 def _context_buckets(alphabet: Alphabet, chi: bytes, m: int, n: int, bound: int):
@@ -222,15 +227,19 @@ def context_classes(spec: LanguageSpec, m: int, n: int, bound: int) -> ContextCl
     if bound < 1:
         raise InputError("word-length bound must be at least 1")
     index, members = _context_buckets(spec.alphabet, chi_bits(spec, m + bound + n), m, n, bound)
-    words = list(spec.alphabet.words(bound))
+    labels = array(_typecode(len(members)), [0]) * spec.alphabet.word_count(bound)
+    for ci, rs in enumerate(members):
+        for r in rs:
+            labels[r] = ci
     return ContextClassTable(
+        spec.alphabet,
         m,
         n,
         bound,
-        tuple(words[rs[0]] for rs in members),
+        tuple(spec.alphabet.unrank(rs[0]) for rs in members),
         tuple(len(rs) for rs in members),
         tuple(map(tuple, index)),
-        tuple(tuple(words[r] for r in rs) for rs in members),
+        labels,
     )
 
 

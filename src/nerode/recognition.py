@@ -90,9 +90,9 @@ def minimization_morphism(
         # d's columns in the spec's symbol order; a spec symbol d lacks raises here
         cols = [d.alphabet.index(ch) for ch in spec.alphabet.symbols]
         rows = [[row[k] for k in cols] for row in d.rows]
-        for w, bit, s in zip(spec.alphabet.words(bound), bits, walk_states(d.initial, rows, bound)):
+        for r, (bit, s) in enumerate(zip(bits, walk_states(d.initial, rows, bound))):
             if bool(bit) != (s in d.finals):
-                raise RecognitionMismatchError(w)
+                raise RecognitionMismatchError(spec.alphabet.unrank(r))
 
     target = minimize_dfa(d)
     mapping = tuple(target.run(access[s]) for s in range(d.n_states))
@@ -205,14 +205,6 @@ def induced_hom(phi: AutomatonMorphism) -> MonoidHom:
     return MonoidHom(m_src, m_tgt, tuple(mapping))
 
 
-def _check_gen_images(spec: LanguageSpec, monoid: FiniteMonoid, gen_images: dict[str, int]):
-    for ch in spec.alphabet.symbols:
-        if ch not in gen_images:
-            raise InputError(f"no generator image for symbol {ch!r}")
-        if not 0 <= gen_images[ch] < monoid.order:
-            raise InputError(f"generator image for {ch!r} out of range")
-
-
 def verify_recognition(
     monoid: FiniteMonoid,
     gen_images: dict[str, int],
@@ -222,7 +214,11 @@ def verify_recognition(
 ) -> Report:
     """Check that words mapping into final_elements are exactly the members,
     for every word of length <= bound.  Violations are report content."""
-    _check_gen_images(spec, monoid, gen_images)
+    for ch in spec.alphabet.symbols:
+        if ch not in gen_images:
+            raise InputError(f"no generator image for symbol {ch!r}")
+        if not 0 <= gen_images[ch] < monoid.order:
+            raise InputError(f"generator image for {ch!r} out of range")
     finals = frozenset(final_elements)
     for e in finals:
         if not 0 <= e < monoid.order:
@@ -231,12 +227,11 @@ def verify_recognition(
     cols = [gen_images[ch] for ch in spec.alphabet.symbols]
     rows = [[row[g] for g in cols] for row in monoid.table]
     violations = []
-    for w, bit, e in zip(spec.alphabet.words(bound), bits, walk_states(0, rows, bound)):
+    for r, (bit, e) in enumerate(zip(bits, walk_states(0, rows, bound))):
         in_f = e in finals
-        member = bool(bit)
-        if in_f != member:
+        if in_f != bool(bit):
             side = "in F but not in the language" if in_f else "in the language but not in F"
-            violations.append(Violation("recognition", w, f"element {e} {side}"))
+            violations.append(Violation("recognition", spec.alphabet.unrank(r), f"element {e} {side}"))
     return Report(tuple(violations))
 
 

@@ -9,11 +9,10 @@ every finite pattern, so density can be checked window by window.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .errors import InputError
-from .language import LanguageSpec, builtin_language, champernowne_bit, chi_bits, residual_bits
+from .language import LanguageSpec, builtin_language, champernowne_bit, chi_bits, membership, residual_bits
 
 
 def champernowne_prefix(n: int) -> str:
@@ -26,37 +25,25 @@ def champernowne_prefix(n: int) -> str:
 class BitStream:
     """Characteristic bit sequence of a unary language.
 
-    bit(i) is membership of the length-i word.  The prefix cache only ever
-    grows and is guarded by a lock, so concurrent readers are safe.
+    bit(i) is membership of the length-i word, and prefix(n) the residual
+    bits of the empty word to depth n - 1.  The stream holds only the spec,
+    so concurrent readers share no state.
     """
 
     def __init__(self, spec: LanguageSpec):
         if len(spec.alphabet) != 1:
             raise InputError("bit streams need a one-symbol alphabet")
         self.spec = spec
-        self._symbol = spec.alphabet.symbols[0]
-        self._bits: list[int] = []
-        self._lock = threading.Lock()
-
-    def _ensure(self, n: int) -> None:
-        if len(self._bits) >= n:
-            return
-        with self._lock:
-            have = len(self._bits)
-            if have < n:  # the next bits are the residual of the word of length have
-                self._bits.extend(residual_bits(self.spec, self._symbol * have, n - have - 1))
 
     def bit(self, i: int) -> int:
         if i < 0:
             raise InputError("bit index must be non-negative")
-        self._ensure(i + 1)
-        return self._bits[i]
+        return membership(self.spec, self.spec.alphabet.symbols[0] * i)
 
     def prefix(self, n: int) -> str:
         if n < 0:
             raise InputError("prefix length must be non-negative")
-        self._ensure(n)
-        return "".join(map(str, self._bits[:n]))
+        return "".join(map(str, residual_bits(self.spec, "", n - 1))) if n else ""
 
 
 def champernowne_stream() -> BitStream:

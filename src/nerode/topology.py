@@ -129,8 +129,7 @@ def _quotient(alphabet: Alphabet, chi: bytes, d: int, horizon: int) -> ApproxAut
     keys = [residual_key(chi, alphabet, r, d) for r in range(n)]
     class_of, members = bucket(keys)
     label = list(map(class_of.__getitem__, keys))
-    firsts = {rs[0] for rs in members}
-    witnesses = tuple(w for r, w in enumerate(alphabet.words(horizon)) if r in firsts)
+    witnesses = tuple(alphabet.unrank(rs[0]) for rs in members)
 
     transitions = []
     for rs in members:
