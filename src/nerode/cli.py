@@ -22,9 +22,9 @@ import sys
 import traceback
 from pathlib import Path
 
-from .dfa import is_strongly_connected, minimize_dfa
+from .dfa import is_strongly_connected
 from .errors import InputError, NerodeError, SpecFileError
-from .language import LanguageSpec, membership, parse_finals, parse_spec_file, presented_dfa
+from .language import LanguageSpec, membership, minimal_dfa, parse_finals, parse_spec_file, presented_dfa
 from .monoid import (
     FiniteMonoid,
     context_classes,
@@ -122,7 +122,7 @@ def cmd_champernowne(args) -> int:
 
 
 def cmd_connected(args) -> int:
-    d = minimize_dfa(presented_dfa(args.spec))
+    d = minimal_dfa(args.spec)
     payload = {
         "schema": "nerode/connected/1",
         "states": d.n_states,
@@ -153,7 +153,7 @@ COMMANDS = (
      lambda a: _emit({"schema": "nerode/membership/1", "word": a.word,
                       "member": membership(a.spec, a.word)})),
     ("minimize", "canonical minimal DFA of a rational spec", (SPEC, FORMAT),
-     lambda a: _emit(minimize_dfa(presented_dfa(a.spec)), a.format)),
+     lambda a: _emit(minimal_dfa(a.spec), a.format)),
     ("residual", "depth-d truncation of the residual of a word", (SPEC, WORD, DEPTH),
      lambda a: _emit(residual_truncation(a.spec, a.word, a.depth))),
     ("nerode", "depth-d quotient of the enumerated residuals", (SPEC, DEPTH, HORIZON, FORMAT),

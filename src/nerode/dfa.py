@@ -79,7 +79,7 @@ def canonical_form(d: Dfa) -> Dfa:
     return Dfa(d.alphabet, len(c.items), 0, finals, tuple(c.rows))
 
 
-def _nerode_partition(d: Dfa) -> list[int]:
+def _nerode_partition(rows, finals, k: int) -> list[int]:
     """Hopcroft refinement of an all-reachable DFA: the block id of each state.
 
     blocks[i] holds the states of block i.  Each splitter's preimage under a
@@ -87,10 +87,9 @@ def _nerode_partition(d: Dfa) -> list[int]:
     split gives the smaller half a new id, so queueing the new id keeps the
     smaller-half rule whether or not the old id is still queued.
     """
-    n = d.n_states
-    k = len(d.alphabet)
+    n = len(rows)
     pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
-    for s, row in enumerate(d.rows):
+    for s, row in enumerate(rows):
         for a, t in enumerate(row):
             pre[a][t].append(s)
 
@@ -109,7 +108,7 @@ def _nerode_partition(d: Dfa) -> list[int]:
                 worklist.add(len(blocks))
                 blocks.append(new)
 
-    split({0: d.finals} if d.finals else {})
+    split({0: finals} if finals else {})
     while worklist:
         splitter = tuple(blocks[worklist.pop()])
         for a in range(k):
@@ -124,12 +123,28 @@ def _nerode_partition(d: Dfa) -> list[int]:
 def minimize_dfa(d: Dfa) -> Dfa:
     """Minimal DFA of L(d), reachable states only, canonically numbered."""
     r = canonical_form(d)
-    block_of = _nerode_partition(r)
-    rep = {b: s for s, b in enumerate(block_of)}  # any state of a block stands for it
-    # the quotient, numbered like canonical_form: blocks in BFS order
-    c = bfs_closure(block_of[r.initial], lambda b: [block_of[t] for t in r.rows[rep[b]]])
-    finals = frozenset(i for i, b in enumerate(c.items) if rep[b] in r.finals)
-    return Dfa(r.alphabet, len(c.items), 0, finals, tuple(c.rows))
+    return minimal_quotient(r.alphabet, r.rows, r.finals)
+
+
+def minimal_quotient(alphabet: Alphabet, rows, finals) -> Dfa:
+    """Minimal DFA of a DFA numbered as canonical_form numbers it.
+
+    rows[s] and finals describe the DFA; every state is reachable and state
+    s is reached by the s-th shortest length-lex access word, state 0 being
+    initial.  The quotient is then numbered canonically by listing its
+    blocks in order of their first state: a block's shortest access word
+    is that of its first state.
+    """
+    block_of = _nerode_partition(rows, finals, len(alphabet))
+    number: dict[int, int] = {}
+    first: list[int] = []  # the first state of each block, in quotient order
+    for s, b in enumerate(block_of):
+        if b not in number:
+            number[b] = len(first)
+            first.append(s)
+    quotient = tuple(tuple(number[block_of[t]] for t in rows[s]) for s in first)
+    accepting = frozenset(i for i, s in enumerate(first) if s in finals)
+    return Dfa(alphabet, len(first), 0, accepting, quotient)
 
 
 def dfa_isomorphic(a: Dfa, b: Dfa) -> bool:

@@ -184,8 +184,10 @@ def membership(spec: LanguageSpec, w: Word) -> int:
 
 
 def minimal_dfa(spec: LanguageSpec) -> Dfa:
-    """Canonical minimal DFA of a rational spec."""
-    return minimize_dfa(presented_dfa(spec))
+    """Canonical minimal DFA of a rational spec.  A regex compiles to one,
+    so only an explicit DFA presentation is minimized here."""
+    d = presented_dfa(spec)
+    return d if isinstance(spec.presentation, RegexSpec) else minimize_dfa(d)
 
 
 def chi_bits(spec: LanguageSpec, max_len: int) -> bytes:

@@ -9,6 +9,8 @@ tables, so a bug in those code paths cannot cancel out.
 from itertools import product
 
 from nerode import Alphabet, Dfa, DfaSpec, LanguageSpec, canonical_form
+from nerode.errors import RegexParseError
+from nerode.regex import MAX_NESTING
 
 
 def all_words(symbols, max_len):
@@ -72,6 +74,77 @@ def regex_words(pattern, symbols, max_len):
     result = expr()
     assert pos == len(pattern), pattern
     return result
+
+
+def reference_parse_pattern(pattern, alphabet):
+    """The position automaton (symbol, follow, finals) by recursive descent,
+    one function per grammar rule, with the same RegexParseError messages
+    and positions as nerode.regex.parse_pattern."""
+    pos = 0
+    depth = 0
+    symbol = [-1]
+    follow = [set()]
+
+    def peek():
+        return pattern[pos] if pos < len(pattern) else None
+
+    # each parse_* returns (nullable, first positions, last positions)
+    def parse_expr():
+        nonlocal pos
+        nullable, first, last = parse_term()
+        while peek() == "|":
+            pos += 1
+            b_null, b_first, b_last = parse_term()
+            nullable, first, last = nullable or b_null, first | b_first, last | b_last
+        return nullable, first, last
+
+    def parse_term():
+        nullable, first, last = True, set(), set()
+        while peek() not in (None, "|", ")"):
+            f_null, f_first, f_last = parse_factor()
+            for p in last:
+                follow[p] |= f_first
+            if nullable:
+                first = first | f_first
+            last = last | f_last if f_null else f_last
+            nullable = nullable and f_null
+        return nullable, first, last
+
+    def parse_factor():
+        nonlocal pos, depth
+        c = peek()
+        if c == "(":
+            if depth == MAX_NESTING:
+                raise RegexParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            depth += 1
+            pos += 1
+            nullable, first, last = parse_expr()
+            if peek() != ")":
+                raise RegexParseError("expected ')'", pos)
+            pos += 1
+            depth -= 1
+        elif c == "*":
+            raise RegexParseError("nothing to repeat", pos)
+        elif c in alphabet.symbols:
+            p = len(symbol)
+            symbol.append(alphabet.symbols.index(c))
+            follow.append(set())
+            nullable, first, last = False, {p}, {p}
+            pos += 1
+        else:
+            raise RegexParseError(f"symbol {c!r} not in alphabet", pos)
+        while peek() == "*":
+            pos += 1
+            nullable = True
+            for p in last:
+                follow[p] |= first
+        return nullable, first, last
+
+    nullable, first, last = parse_expr()
+    if peek() is not None:
+        raise RegexParseError("unbalanced ')'", pos)
+    follow[0] = first
+    return symbol, follow, last | {0} if nullable else last
 
 
 def dfa_words(d, max_len):
