@@ -132,6 +132,14 @@ def transition_monoid(d: Dfa, cap: int | None = None) -> FiniteMonoid:
     return monoid_from_generators(d.n_states, gens, cap)
 
 
+def require_rational(spec: LanguageSpec) -> None:
+    """Reject an oracle spec: only a rational one has a finite syntactic monoid."""
+    if not spec.rational:
+        raise UnsupportedPresentationError(
+            "syntactic monoid needs a regex or dfa presentation; use context_classes instead"
+        )
+
+
 def syntactic_monoid(
     spec: LanguageSpec, cap: int | None = None
 ) -> tuple[FiniteMonoid, frozenset[int]]:
@@ -140,10 +148,7 @@ def syntactic_monoid(
     Only rational specs have a finite syntactic monoid; for oracle specs use
     context_classes, which lower-bounds it.
     """
-    if not spec.rational:
-        raise UnsupportedPresentationError(
-            "syntactic monoid needs a regex or dfa presentation; use context_classes instead"
-        )
+    require_rational(spec)
     m = minimal_dfa(spec)
     monoid = transition_monoid(m, cap)
     final_elements = frozenset(

@@ -11,8 +11,11 @@ maps are never trusted silently:
   * minimal_monoid_hom: the collapse of any finite monoid recognizing a
     rational language onto the syntactic monoid.
 
-Verification is finite and exact for DFA-vs-DFA language comparisons
-(product construction); oracle comparisons are bounded by a word length.
+Verification is finite and exact for rational specs: DFA-vs-DFA language
+comparisons, and the recognition checks, which run the monoid's element
+action beside the spec's DFA (product construction); a recognition report
+still lists violations only up to its word bound.  Oracle comparisons are
+bounded by a word length and check word by word.
 In finite monoids every subset is clopen and right translation is always
 continuous, so the topological side conditions of the corresponding
 infinite statements hold vacuously and are not re-checked here.
@@ -33,7 +36,7 @@ from .errors import (
     TrimnessError,
 )
 from .language import LanguageSpec, presented_dfa, residual_bits
-from .monoid import FiniteMonoid, syntactic_monoid, transition_monoid
+from .monoid import FiniteMonoid, require_rational, syntactic_monoid, transition_monoid
 from .topology import ApproxAutomaton
 
 DEFAULT_WORD_BOUND = 12
@@ -205,15 +208,114 @@ def induced_hom(phi: AutomatonMorphism) -> MonoidHom:
     return MonoidHom(m_src, m_tgt, tuple(mapping))
 
 
+def _violation(alphabet, r: int, e: int, in_f: bool) -> Violation:
+    side = "in F but not in the language" if in_f else "in the language but not in F"
+    return Violation("recognition", alphabet.unrank(r), f"element {e} {side}")
+
+
+def _product_violations(monoid, cols, finals, spec, bound, first_only) -> list[Violation]:
+    """The recognition violations of a rational spec, read off the product
+    of the element action with the spec's DFA.
+
+    Pairs (element e, state q), held as e * n + q, are found breadth first
+    from (identity, initial) up to depth bound; succ[i * k + a] is the
+    successor of pair i on the a-th symbol, and pair i was first reached
+    as succ[via[i - 1]].  A pair is bad when e in finals and q final
+    disagree.  Discovery order is the length-lex order of access words, so
+    the first bad pair found gives the first violation, and first_only
+    stops there.  Otherwise distances to a bad pair, by one reverse BFS,
+    prune a level walk of (rank, pair) to the words that still reach a bad
+    pair within the bound, so exactly the violating words are listed, in
+    rank order.  A recognizer with no reachable bad pair costs one product
+    BFS whatever the bound.
+    """
+    d = presented_dfa(spec)
+    n, rows, accepting, table, k = d.n_states, d.rows, d.finals, monoid.table, len(cols)
+    pairs, index, succ, via, bad = [d.initial], {d.initial: 0}, [], [], []
+    for depth in range(bound + 1):
+        level = pairs[len(bad):]
+        if not level:
+            break
+        bad += [(c // n in finals) != (c % n in accepting) for c in level]
+        if first_only and True in bad:
+            i = bad.index(True)
+            e, r, scale = pairs[i] // n, 0, 1
+            while i:  # the access word of pair i, read backwards
+                i, a = divmod(via[i - 1], k)
+                r += (a + 1) * scale
+                scale *= k
+            return [_violation(spec.alphabet, r, e, e in finals)]
+        if depth == bound:
+            break
+        for c in level:
+            e, q = divmod(c, n)
+            trow = table[e]
+            for g, t in zip(cols, rows[q]):
+                t += trow[g] * n
+                j = index.get(t)
+                if j is None:
+                    j = index[t] = len(pairs)
+                    pairs.append(t)
+                    via.append(len(succ))
+                succ.append(j)
+    frontier = [i for i, b in enumerate(bad) if b]
+    if not frontier:
+        return []
+
+    preds = [[] for _ in pairs]
+    for x, j in enumerate(succ):
+        preds[j].append(x // k)
+    dist = [bound + 1] * len(pairs)  # bound + 1: no bad pair within the bound
+    for i in frontier:
+        dist[i] = 0
+    for steps in range(1, bound + 1):
+        nxt = []
+        for j in frontier:
+            for i in preds[j]:
+                if dist[i] > steps:
+                    dist[i] = steps
+                    nxt.append(i)
+        frontier = nxt
+
+    out = []
+    level = [(0, 0)] if dist[0] <= bound else []
+    for length in range(bound + 1):
+        for r, i in level:
+            if bad[i]:
+                e = pairs[i] // n
+                out.append(_violation(spec.alphabet, r, e, e in finals))
+        if length == bound:
+            break
+        budget = bound - length - 1  # steps left after the next letter
+        level = [
+            (r * k + a, j)
+            for r, i in level
+            for a, j in enumerate(succ[i * k:i * k + k], 1)
+            if dist[j] <= budget
+        ]
+    return out
+
+
 def verify_recognition(
     monoid: FiniteMonoid,
     gen_images: dict[str, int],
     final_elements,
     spec: LanguageSpec,
     bound: int,
+    *,
+    first_only: bool = False,
 ) -> Report:
     """Check that words mapping into final_elements are exactly the members,
-    for every word of length <= bound.  Violations are report content."""
+    for every word of length <= bound.  Violations are report content, in
+    length-lex order; first_only keeps only the first.
+
+    A rational spec is decided on the product of the element action with
+    the spec's DFA (Rabin-Scott): no word is enumerated unless it violates
+    or leads to a violation within the bound, and a recognizer with no
+    reachable bad (element, state) pair costs one product BFS at any bound.
+    The report still lists violations only up to the bound.  An oracle spec
+    is checked word by word, one decide call per word of length <= bound.
+    """
     for ch in spec.alphabet.symbols:
         if ch not in gen_images:
             raise InputError(f"no generator image for symbol {ch!r}")
@@ -223,15 +325,19 @@ def verify_recognition(
     for e in finals:
         if not 0 <= e < monoid.order:
             raise InputError(f"final element {e} out of range")
-    bits = residual_bits(spec, "", bound)
+    if bound < 0:
+        raise InputError("word length bound must be non-negative")
     cols = [gen_images[ch] for ch in spec.alphabet.symbols]
+    if spec.rational:
+        return Report(tuple(_product_violations(monoid, cols, finals, spec, bound, first_only)))
     rows = [[row[g] for g in cols] for row in monoid.table]
     violations = []
-    for r, (bit, e) in enumerate(zip(bits, walk_states(0, rows, bound))):
+    for r, (bit, e) in enumerate(zip(residual_bits(spec, "", bound), walk_states(0, rows, bound))):
         in_f = e in finals
         if in_f != bool(bit):
-            side = "in F but not in the language" if in_f else "in the language but not in F"
-            violations.append(Violation("recognition", spec.alphabet.unrank(r), f"element {e} {side}"))
+            violations.append(_violation(spec.alphabet, r, e, in_f))
+            if first_only:
+                break
     return Report(tuple(violations))
 
 
@@ -245,16 +351,20 @@ def minimal_monoid_hom(
     """Collapse a recognizing monoid onto the syntactic monoid.
 
     The word map phi is determined by gen_images; it must recognize the
-    language via final_elements up to the word bound (checked first).  The
-    part of the monoid not generated by the images carries no word content
-    and is left out of the map (reported via `ignored`).  A well-definedness
-    failure names two words with equal phi-image whose syntactic images
-    differ: proof that final_elements cannot recognize the language.
+    language via final_elements up to the word bound.  That is checked
+    first, on the product of the element action with the spec's DFA, and
+    only the first violation is sought: a wrong final set raises
+    RecognitionError before the syntactic monoid is built.  The part of the
+    monoid not generated by the images carries no word content and is left
+    out of the map (reported via `ignored`).  A well-definedness failure
+    names two words with equal phi-image whose syntactic images differ:
+    proof that final_elements cannot recognize the language.
     """
-    syntactic, _ = syntactic_monoid(spec)  # rejects oracle presentations up front
-    report = verify_recognition(monoid, gen_images, final_elements, spec, bound)
+    require_rational(spec)
+    report = verify_recognition(monoid, gen_images, final_elements, spec, bound, first_only=True)
     if not report.passed:
         raise RecognitionError(report.violations[0].witness)
+    syntactic, _ = syntactic_monoid(spec)
 
     mapping = _generated_hom(monoid, gen_images, syntactic, spec.alphabet.symbols, IllDefinedHomError)
     ignored = tuple(e for e, image in enumerate(mapping) if image is None)

@@ -159,6 +159,23 @@ def dfa_words(d, max_len):
     return out
 
 
+def brute_recognition_violations(monoid, gen_images, finals, member, symbols, max_len):
+    """(kind, witness, detail) for every word of length <= max_len whose
+    element, folded from the identity through monoid.table with letter ch
+    read as gen_images[ch], lies in finals exactly when member(word) is
+    false; length-lex, with the library's detail text."""
+    out = []
+    for w in all_words(symbols, max_len):
+        e = 0
+        for ch in w:
+            e = monoid.table[e][gen_images[ch]]
+        in_f = e in finals
+        if in_f != bool(member(w)):
+            side = "in F but not in the language" if in_f else "in the language but not in F"
+            out.append(("recognition", w, f"element {e} {side}"))
+    return out
+
+
 def residual_signature(member, symbols, w, depth):
     return tuple(member(w + u) for u in all_words(symbols, depth))
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nerode import (
     Alphabet,
@@ -9,9 +10,13 @@ from nerode import (
     Dfa,
     IllDefinedHomError,
     InputError,
+    LanguageSpec,
+    OracleSpec,
     RecognitionError,
     RecognitionMismatchError,
+    ResourceError,
     TrimnessError,
+    UnsupportedPresentationError,
     builtin_language,
     check_morphism,
     induced_hom,
@@ -23,10 +28,13 @@ from nerode import (
     transition_monoid,
     verify_recognition,
 )
+from nerode import language, recognition
 from tests.corpus import chain_dfa, cycle_dfa, empty_language_spec, regex_spec
 from tests.oracles import (
     all_words,
+    brute_recognition_violations,
     dfa_language_spec,
+    dfa_words,
     random_trim_dfa,
     residual_matching_morphism,
 )
@@ -290,6 +298,148 @@ def test_verify_recognition_validates_inputs():
         verify_recognition(m, m.generators, {9}, spec, 5)
 
 
+RATIONAL_EVEN = [regex_spec("(aa)*", "a"), dfa_language_spec(cycle_dfa(2, {0}))]
+ORACLE_EVEN = LanguageSpec(Alphabet.of("a"), OracleSpec("even_length"))
+
+
+@pytest.mark.parametrize("spec", RATIONAL_EVEN + [ORACLE_EVEN])
+def test_verify_recognition_rejects_negative_bound_for_every_spec(spec):
+    m = transition_monoid(cycle_dfa(2, {0}))
+    with pytest.raises(InputError, match="word length bound must be non-negative"):
+        verify_recognition(m, m.generators, {0}, spec, -1)
+
+
+@pytest.mark.parametrize("spec", RATIONAL_EVEN)
+def test_min_hom_rejects_negative_bound_for_rational_specs(spec):
+    m = transition_monoid(cycle_dfa(2, {0}))
+    with pytest.raises(InputError, match="word length bound must be non-negative"):
+        minimal_monoid_hom(m, m.generators, {0}, spec, bound=-1)
+
+
+def test_min_hom_rejects_oracle_spec_before_the_bound():
+    m = transition_monoid(cycle_dfa(2, {0}))
+    with pytest.raises(UnsupportedPresentationError, match="syntactic monoid needs a regex or dfa"):
+        minimal_monoid_hom(m, m.generators, {0}, ORACLE_EVEN, bound=-1)
+
+
+def test_rational_specs_are_decided_without_enumerating_words(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rational spec was checked word by word")
+
+    for module in (language, recognition):
+        monkeypatch.setattr(module, "residual_bits", refuse)
+    spec = regex_spec("(aa)*", "a")
+    m = transition_monoid(cycle_dfa(4, {0, 2}))
+    assert verify_recognition(m, m.generators, {0, 2}, spec, 12).passed
+    report = verify_recognition(m, m.generators, {0}, spec, 12)
+    assert [v.witness for v in report.violations] == ["a" * n for n in (2, 6, 10)]
+    assert minimal_monoid_hom(m, m.generators, {0, 2}, spec).mapping == (0, 1, 0, 1)
+    with pytest.raises(RecognitionError) as e:
+        minimal_monoid_hom(m, m.generators, {0}, spec)
+    assert e.value.witness == "aa"
+
+
+@pytest.mark.parametrize("pattern, symbols", [("(aa)*", "a"), ("(a|b)*ab", "ab"), ("a*b*", "ab")])
+def test_correct_recognizer_passes_at_bound_60(pattern, symbols):
+    # a non-minimal recognizer: the transition monoid of the minimal DFA
+    # run side by side with a 3-cycle on every letter
+    spec = regex_spec(pattern, symbols)
+    d = language.presented_dfa(spec)
+    cycle = [[(x + 1) % 3] * len(d.alphabet) for x in range(3)]
+    monoid, images, valid = _product_recognizer(d, cycle, proper=False)
+    assert verify_recognition(monoid, images, valid, spec, 60).violations == ()
+
+
+def _product_recognizer(d, x_rows, proper, z_state=0):
+    """The transition monoid of d run side by side with the transitions
+    x_rows (x_rows[x][k] is the successor of x on the k-th letter), the
+    letters' images and the final set that recognizes L(d).  With proper,
+    one more generator, the constant map to z_state, joins that no letter
+    reads, so the letters may generate a proper submonoid."""
+    m = len(x_rows)
+    n = d.n_states * m
+    gens = {
+        ch: tuple(d.rows[s // m][k] * m + x_rows[s % m][k] for s in range(n))
+        for k, ch in enumerate(d.alphabet.symbols)
+    }
+    if proper:
+        gens["z"] = (z_state,) * n
+    monoid = monoid_from_generators(n, gens)
+    images = {ch: monoid.generators[ch] for ch in d.alphabet.symbols}
+    start = d.initial * m
+    valid = frozenset(i for i, e in enumerate(monoid.elements) if e[start] // m in d.finals)
+    return monoid, images, valid
+
+
+def _with_unreachable(rng, d, extra):
+    """d with extra states that no state reaches, on random rows and finals."""
+    n = d.n_states + extra
+    rows = d.rows + tuple(tuple(rng.randrange(n) for _ in d.alphabet) for _ in range(extra))
+    finals = d.finals | {s for s in range(d.n_states, n) if rng.random() < 0.5}
+    return Dfa(d.alphabet, n, d.initial, frozenset(finals), rows)
+
+
+def _depths(monoid, images):
+    """Length of the shortest word over the images reaching each generated element."""
+    depth, frontier = {0: 0}, [0]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in images.values():
+                f = monoid.table[e][g]
+                if f not in depth:
+                    depth[f] = depth[e] + 1
+                    nxt.append(f)
+        frontier = nxt
+    return depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bound=st.integers(0, 8),
+    extra=st.integers(0, 2),
+    proper=st.booleans(),
+    finals_kind=st.sampled_from(["valid", "flip", "random", "foreign"]),
+    shift=st.integers(-2, 2),
+)
+def test_verify_recognition_matches_brute_force(seed, bound, extra, proper, finals_kind, shift):
+    rng = random.Random(seed)
+    trim = random_trim_dfa(rng, max_states=4, symbols="abc")
+    spec = dfa_language_spec(_with_unreachable(rng, trim, extra))
+    m = rng.randint(1, 2)
+    x_rows = [[rng.randrange(m) for _ in trim.alphabet] for _ in range(m)]
+    monoid, images, valid = _product_recognizer(trim, x_rows, proper, rng.randrange(trim.n_states * m))
+    if finals_kind == "foreign":  # a monoid unrelated to the spec, letters read as random elements
+        m = rng.randint(1, 3)
+        gens = {ch: tuple(rng.randrange(m) for _ in range(m)) for ch in trim.alphabet.symbols}
+        monoid = monoid_from_generators(m, gens)
+        images = {ch: rng.randrange(monoid.order) for ch in trim.alphabet.symbols}
+        finals = frozenset(e for e in range(monoid.order) if rng.random() < 0.5)
+    elif finals_kind == "valid":
+        finals = valid
+    elif finals_kind == "flip":  # the first failure falls near bound + shift
+        depth = _depths(monoid, images)
+        e = min(depth, key=lambda e: (abs(depth[e] - bound - shift), e))
+        finals = valid ^ {e}
+    else:
+        finals = frozenset(e for e in range(monoid.order) if rng.random() < 0.5)
+
+    member = dfa_words(spec.presentation.dfa, bound).__contains__
+    ref = brute_recognition_violations(monoid, images, finals, member, trim.alphabet.symbols, bound)
+    report = verify_recognition(monoid, images, finals, spec, bound)
+    assert [(v.kind, v.witness, v.detail) for v in report.violations] == ref
+    assert verify_recognition(monoid, images, finals, spec, bound, first_only=True).violations == report.violations[:1]
+    try:
+        minimal_monoid_hom(monoid, images, finals, spec, bound)
+    except RecognitionError as e:
+        assert ref and e.witness == ref[0][1]
+    except IllDefinedHomError:  # no collapse exists, though F passes up to the bound
+        assert not ref
+    else:
+        assert not ref
+
+
 # --- minimal monoid homomorphism ------------------------------------------------
 
 
@@ -352,3 +502,16 @@ def test_min_hom_requires_rational_spec():
     m = transition_monoid(cycle_dfa(2, {0}))
     with pytest.raises(UnsupportedPresentationError):
         minimal_monoid_hom(m, m.generators, {0}, builtin_language("anbn"))
+
+
+def test_min_hom_reports_a_wrong_final_set_before_the_syntactic_monoid(monkeypatch):
+    # the syntactic monoid of (a|b)*ab exceeds a cap of 3 elements, but the
+    # trivial monoid's final set {0} already fails at the empty word
+    monkeypatch.setenv("NERODE_MONOID_CAP", "3")
+    spec = regex_spec("(a|b)*ab", "ab")
+    with pytest.raises(ResourceError):
+        syntactic_monoid(spec)
+    m = monoid_from_generators(1, {"a": (0,), "b": (0,)})
+    with pytest.raises(RecognitionError) as e:
+        minimal_monoid_hom(m, m.generators, {0}, spec)
+    assert e.value.witness == ""
