@@ -4,6 +4,8 @@ Minimization runs Hopcroft partition refinement over the reachable part and
 renumbers the quotient so that state i is reached by the i-th shortest
 length-lex access word.  Two minimal DFAs for the same language are therefore
 structurally equal, which makes isomorphism checks trivial.
+
+Every language comparison, here and in recognition, is product_mismatches.
 """
 
 from __future__ import annotations
@@ -152,18 +154,99 @@ def dfa_isomorphic(a: Dfa, b: Dfa) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
+def product_mismatches(table, cols, initial: int, finals, d: Dfa, bound: int, first_only: bool = False):
+    """(rank, state) of each word of length <= bound that one automaton and
+    d disagree on, in rank order; state is where the first automaton stops.
+
+    The first automaton is read in place: table[s][cols[a]] is the successor
+    of s on d's a-th symbol, and finals are its accepting states.  Pairs
+    (s, q), held as s * n + q, are found breadth first from (initial,
+    d.initial) up to depth bound; succ[i * k + a] is the successor of pair i
+    on the a-th symbol, and pair i was first reached as succ[via[i - 1]].  A
+    pair is bad when its states disagree on acceptance.  Discovery order is
+    the length-lex order of access words, so the first bad pair found gives
+    the first mismatch, and first_only stops there.  Otherwise distances to
+    a bad pair, by one reverse BFS, prune a level walk of (rank, pair) to
+    the words that still reach a bad pair within the bound.  With no
+    reachable bad pair the cost is one product BFS at any bound.
+    """
+    n, rows, accepting, k = d.n_states, d.rows, d.finals, len(cols)
+    start = initial * n + d.initial
+    pairs, index, succ, via, bad = [start], {start: 0}, [], [], []
+    for depth in range(bound + 1):
+        level = pairs[len(bad):]
+        if not level:
+            break
+        flags = [(c // n in finals) != (c % n in accepting) for c in level]
+        if first_only and True in flags:
+            i = len(bad) + flags.index(True)
+            s, r, scale = pairs[i] // n, 0, 1
+            while i:  # the access word of pair i, read backwards
+                i, a = divmod(via[i - 1], k)
+                r += (a + 1) * scale
+                scale *= k
+            return [(r, s)]
+        bad += flags
+        if depth == bound:
+            break
+        for c in level:
+            s, q = divmod(c, n)
+            trow = table[s]
+            for g, t in zip(cols, rows[q]):
+                t += trow[g] * n
+                j = index.get(t)
+                if j is None:
+                    j = index[t] = len(pairs)
+                    pairs.append(t)
+                    via.append(len(succ))
+                succ.append(j)
+    frontier = [i for i, b in enumerate(bad) if b]
+    if not frontier:
+        return []
+
+    preds = [[] for _ in pairs]
+    for x, j in enumerate(succ):
+        preds[j].append(x // k)
+    dist = [bound + 1] * len(pairs)  # bound + 1: no bad pair within the bound
+    for i in frontier:
+        dist[i] = 0
+    for steps in range(1, bound + 1):
+        nxt = []
+        for j in frontier:
+            for i in preds[j]:
+                if dist[i] > steps:
+                    dist[i] = steps
+                    nxt.append(i)
+        frontier = nxt
+
+    out = []
+    level = [(0, 0)] if dist[0] <= bound else []
+    for length in range(bound + 1):
+        out += [(r, pairs[i] // n) for r, i in level if bad[i]]
+        if length == bound:
+            break
+        budget = bound - length - 1  # steps left after the next letter
+        level = [
+            (r * k + a, j)
+            for r, i in level
+            for a, j in enumerate(succ[i * k:i * k + k], 1)
+            if dist[j] <= budget
+        ]
+    return out
+
+
 def language_mismatch(a: Dfa, b: Dfa) -> Word | None:
     """Shortest length-lex word accepted by exactly one of the two DFAs.
 
-    Exact product-automaton check; returns None when L(a) = L(b).
+    Exact product-automaton check; returns None when L(a) = L(b).  A
+    shortest mismatch is a simple path in the product, so the bound
+    a.n_states * b.n_states loses none.
     """
     if a.alphabet != b.alphabet:
         raise InputError("language comparison needs a common alphabet")
-    c = bfs_closure((a.initial, b.initial), lambda st: zip(a.rows[st[0]], b.rows[st[1]]))
-    for i, (s, t) in enumerate(c.items):
-        if (s in a.finals) != (t in b.finals):
-            return c.witnesses(a.alphabet.symbols)[i]
-    return None
+    cols = range(len(a.alphabet))
+    found = product_mismatches(a.rows, cols, a.initial, a.finals, b, a.n_states * b.n_states, True)
+    return a.alphabet.unrank(found[0][0]) if found else None
 
 
 def is_strongly_connected(d: Dfa) -> bool:

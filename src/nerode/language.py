@@ -85,10 +85,6 @@ def champernowne_bit(i: int) -> int:
         length += 1
 
 
-def _decide_champernowne(n: int) -> int:
-    return champernowne_bit(n)
-
-
 def _decide_even_length(w: Word) -> int:
     return int(len(w) % 2 == 0)
 
@@ -97,7 +93,7 @@ _BUILTINS: dict[str, _Builtin] = {
     "anbn": _Builtin("ab", _decide_anbn, needs=frozenset("ab")),
     "dyck1": _Builtin("ab", _decide_dyck1, needs=frozenset("ab")),
     "unary_powers_of_two": _Builtin("a", _decide_powers_of_two, unary=True),
-    "champernowne_unary": _Builtin("a", _decide_champernowne, unary=True),
+    "champernowne_unary": _Builtin("a", champernowne_bit, unary=True),
     "even_length": _Builtin("ab", _decide_even_length),
 }
 

@@ -11,11 +11,10 @@ maps are never trusted silently:
   * minimal_monoid_hom: the collapse of any finite monoid recognizing a
     rational language onto the syntactic monoid.
 
-Verification is finite and exact for rational specs: DFA-vs-DFA language
-comparisons, and the recognition checks, which run the monoid's element
-action beside the spec's DFA (product construction); a recognition report
-still lists violations only up to its word bound.  Oracle comparisons are
-bounded by a word length and check word by word.
+Every comparison with a spec is one walk.  For a rational spec it is
+dfa.product_mismatches on the product with the spec's DFA: exact for the
+DFA-vs-DFA check, while a recognition report lists violations only up to
+its word bound.  An oracle spec is checked word by word up to a bound.
 In finite monoids every subset is clopen and right translation is always
 continuous, so the topological side conditions of the corresponding
 infinite statements hold vacuously and are not re-checked here.
@@ -24,9 +23,10 @@ infinite statements hold vacuously and are not re-checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .alphabet import bfs_closure, walk_states
-from .dfa import Dfa, access_words, language_mismatch, minimize_dfa
+from .dfa import Dfa, access_words, language_mismatch, minimize_dfa, product_mismatches
 from .errors import (
     ConsistencyError,
     IllDefinedHomError,
@@ -89,13 +89,11 @@ def minimization_morphism(
         if witness is not None:
             raise RecognitionMismatchError(witness)
     else:
-        bits = residual_bits(spec, "", bound)
         # d's columns in the spec's symbol order; a spec symbol d lacks raises here
         cols = [d.alphabet.index(ch) for ch in spec.alphabet.symbols]
-        rows = [[row[k] for k in cols] for row in d.rows]
-        for r, (bit, s) in enumerate(zip(bits, walk_states(d.initial, rows, bound))):
-            if bool(bit) != (s in d.finals):
-                raise RecognitionMismatchError(spec.alphabet.unrank(r))
+        found = _mismatches(d.rows, cols, d.initial, d.finals, spec, bound, True)
+        if found:
+            raise RecognitionMismatchError(spec.alphabet.unrank(found[0][0]))
 
     target = minimize_dfa(d)
     mapping = tuple(target.run(access[s]) for s in range(d.n_states))
@@ -108,6 +106,10 @@ def check_morphism(phi: AutomatonMorphism) -> Report:
     src = phi.source
     if len(phi.mapping) != src.n_states:
         raise InputError("morphism map must cover every source state")
+    size = phi.target.n_states if isinstance(phi.target, Dfa) else len(phi.target.classes)
+    for t in phi.mapping:
+        if not 0 <= t < size:
+            raise InputError(f"morphism map entry {t} out of range 0..{size - 1}")
     violations: list[Violation] = []
 
     t0 = phi.target.initial
@@ -208,92 +210,16 @@ def induced_hom(phi: AutomatonMorphism) -> MonoidHom:
     return MonoidHom(m_src, m_tgt, tuple(mapping))
 
 
-def _violation(alphabet, r: int, e: int, in_f: bool) -> Violation:
-    side = "in F but not in the language" if in_f else "in the language but not in F"
-    return Violation("recognition", alphabet.unrank(r), f"element {e} {side}")
-
-
-def _product_violations(monoid, cols, finals, spec, bound, first_only) -> list[Violation]:
-    """The recognition violations of a rational spec, read off the product
-    of the element action with the spec's DFA.
-
-    Pairs (element e, state q), held as e * n + q, are found breadth first
-    from (identity, initial) up to depth bound; succ[i * k + a] is the
-    successor of pair i on the a-th symbol, and pair i was first reached
-    as succ[via[i - 1]].  A pair is bad when e in finals and q final
-    disagree.  Discovery order is the length-lex order of access words, so
-    the first bad pair found gives the first violation, and first_only
-    stops there.  Otherwise distances to a bad pair, by one reverse BFS,
-    prune a level walk of (rank, pair) to the words that still reach a bad
-    pair within the bound, so exactly the violating words are listed, in
-    rank order.  A recognizer with no reachable bad pair costs one product
-    BFS whatever the bound.
-    """
-    d = presented_dfa(spec)
-    n, rows, accepting, table, k = d.n_states, d.rows, d.finals, monoid.table, len(cols)
-    pairs, index, succ, via, bad = [d.initial], {d.initial: 0}, [], [], []
-    for depth in range(bound + 1):
-        level = pairs[len(bad):]
-        if not level:
-            break
-        bad += [(c // n in finals) != (c % n in accepting) for c in level]
-        if first_only and True in bad:
-            i = bad.index(True)
-            e, r, scale = pairs[i] // n, 0, 1
-            while i:  # the access word of pair i, read backwards
-                i, a = divmod(via[i - 1], k)
-                r += (a + 1) * scale
-                scale *= k
-            return [_violation(spec.alphabet, r, e, e in finals)]
-        if depth == bound:
-            break
-        for c in level:
-            e, q = divmod(c, n)
-            trow = table[e]
-            for g, t in zip(cols, rows[q]):
-                t += trow[g] * n
-                j = index.get(t)
-                if j is None:
-                    j = index[t] = len(pairs)
-                    pairs.append(t)
-                    via.append(len(succ))
-                succ.append(j)
-    frontier = [i for i, b in enumerate(bad) if b]
-    if not frontier:
-        return []
-
-    preds = [[] for _ in pairs]
-    for x, j in enumerate(succ):
-        preds[j].append(x // k)
-    dist = [bound + 1] * len(pairs)  # bound + 1: no bad pair within the bound
-    for i in frontier:
-        dist[i] = 0
-    for steps in range(1, bound + 1):
-        nxt = []
-        for j in frontier:
-            for i in preds[j]:
-                if dist[i] > steps:
-                    dist[i] = steps
-                    nxt.append(i)
-        frontier = nxt
-
-    out = []
-    level = [(0, 0)] if dist[0] <= bound else []
-    for length in range(bound + 1):
-        for r, i in level:
-            if bad[i]:
-                e = pairs[i] // n
-                out.append(_violation(spec.alphabet, r, e, e in finals))
-        if length == bound:
-            break
-        budget = bound - length - 1  # steps left after the next letter
-        level = [
-            (r * k + a, j)
-            for r, i in level
-            for a, j in enumerate(succ[i * k:i * k + k], 1)
-            if dist[j] <= budget
-        ]
-    return out
+def _mismatches(table, cols, initial, finals, spec, bound, first_only):
+    """product_mismatches of an automaton against the spec, cols in the
+    spec's symbol order: on the product with a rational spec's DFA, and
+    word by word, one decide call per word, for an oracle spec."""
+    if spec.rational:
+        return product_mismatches(table, cols, initial, finals, presented_dfa(spec), bound, first_only)
+    rows = [[row[g] for g in cols] for row in table]
+    pairs = zip(residual_bits(spec, "", bound), walk_states(initial, rows, bound))
+    found = ((r, s) for r, (bit, s) in enumerate(pairs) if bool(bit) != (s in finals))
+    return list(islice(found, 1)) if first_only else list(found)
 
 
 def verify_recognition(
@@ -328,17 +254,11 @@ def verify_recognition(
     if bound < 0:
         raise InputError("word length bound must be non-negative")
     cols = [gen_images[ch] for ch in spec.alphabet.symbols]
-    if spec.rational:
-        return Report(tuple(_product_violations(monoid, cols, finals, spec, bound, first_only)))
-    rows = [[row[g] for g in cols] for row in monoid.table]
-    violations = []
-    for r, (bit, e) in enumerate(zip(residual_bits(spec, "", bound), walk_states(0, rows, bound))):
-        in_f = e in finals
-        if in_f != bool(bit):
-            violations.append(_violation(spec.alphabet, r, e, in_f))
-            if first_only:
-                break
-    return Report(tuple(violations))
+    side = {True: "in F but not in the language", False: "in the language but not in F"}
+    return Report(tuple(
+        Violation("recognition", spec.alphabet.unrank(r), f"element {e} {side[e in finals]}")
+        for r, e in _mismatches(monoid.table, cols, 0, finals, spec, bound, first_only)
+    ))
 
 
 def minimal_monoid_hom(

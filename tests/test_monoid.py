@@ -119,8 +119,10 @@ def test_monoid_cap_env_override(monkeypatch):
 
 
 def test_monoid_generator_validation():
-    with pytest.raises(InputError):
-        monoid_from_generators(2, {"a": (0, 5)})
+    # an image equal to the state count is the first one out of range
+    for image in (5, 2):
+        with pytest.raises(InputError, match="generator for 'a' is not a transformation of 2 states"):
+            monoid_from_generators(2, {"a": (0, image)})
 
 
 # --- compact Cayley table ---------------------------------------------------
@@ -247,8 +249,9 @@ def test_idempotent_power_is_least_power():
 
 def test_idempotent_power_range_check():
     m = transition_monoid(chain_dfa())
-    with pytest.raises(InputError):
-        idempotent_power(m, 17)
+    for s in (17, -1, m.order):
+        with pytest.raises(InputError, match=rf"^element {s} out of range 0\.\.{m.order - 1}$"):
+            idempotent_power(m, s)
 
 
 # --- context classes --------------------------------------------------------

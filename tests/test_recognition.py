@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -29,6 +30,7 @@ from nerode import (
     verify_recognition,
 )
 from nerode import language, recognition
+from nerode.dfa import product_mismatches
 from tests.corpus import chain_dfa, cycle_dfa, empty_language_spec, regex_spec
 from tests.oracles import (
     all_words,
@@ -158,6 +160,15 @@ def test_check_reports_final_set_violation_both_directions():
     assert any(v.kind == "finals-forward" for v in report2.violations)
 
 
+@pytest.mark.parametrize("entry", [5, -1, 2])
+@pytest.mark.parametrize("approx", [False, True])
+def test_check_morphism_rejects_map_entries_outside_the_target(entry, approx):
+    d = cycle_dfa(2, {0})
+    target = nerode_classes(dfa_language_spec(d), 2, 6) if approx else d
+    with pytest.raises(InputError, match=rf"morphism map entry {entry} out of range 0\.\.1"):
+        check_morphism(AutomatonMorphism(d, target, (0, entry)))
+
+
 def test_check_morphism_into_approx_automaton_target():
     spec = regex_spec("(aa)*", "a")
     approx = nerode_classes(spec, 2, 6)
@@ -252,8 +263,10 @@ def test_induced_hom_triangle():
 
 def test_induced_hom_rejects_invalid_morphism():
     phi = minimization_morphism(chain_dfa(), regex_spec("(aa)*", "a"))
+    # state 0 maps to 0 but its successor 1 does not map to 0.a = 1; the
+    # finals-backward violation at class 1 comes later
     bad = AutomatonMorphism(phi.source, phi.target, (0, 0, 0))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^morphism is not valid: equivariance at 0:a$"):
         induced_hom(bad)
 
 
@@ -438,6 +451,33 @@ def test_verify_recognition_matches_brute_force(seed, bound, extra, proper, fina
         assert not ref
     else:
         assert not ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bound=st.integers(0, 8),
+    extra_a=st.integers(0, 2),
+    extra_b=st.integers(0, 2),
+)
+def test_product_mismatches_of_two_dfas_match_brute_force(seed, bound, extra_a, extra_b):
+    # a is read in place through shuffled columns from any start state; b
+    # keeps its own layout; both carry states their start does not reach
+    rng = random.Random(seed)
+    a = random_trim_dfa(rng, max_states=4, symbols="abc")
+    b = random_trim_dfa(rng, max_states=4, symbols=a.alphabet.symbols)
+    while b.alphabet != a.alphabet:
+        b = random_trim_dfa(rng, max_states=4, symbols=a.alphabet.symbols)
+    a, b = _with_unreachable(rng, a, extra_a), _with_unreachable(rng, b, extra_b)
+    a = dataclasses.replace(a, initial=rng.randrange(a.n_states))
+    k = len(a.alphabet)
+    cols = rng.sample(range(k), k)
+    table = [[row[cols.index(c)] for c in range(k)] for row in a.rows]
+
+    diff = sorted(dfa_words(a, bound) ^ dfa_words(b, bound), key=a.alphabet.rank)
+    ref = [(a.alphabet.rank(w), a.run(w)) for w in diff]
+    assert product_mismatches(table, cols, a.initial, a.finals, b, bound) == ref
+    assert product_mismatches(table, cols, a.initial, a.finals, b, bound, True) == ref[:1]
 
 
 # --- minimal monoid homomorphism ------------------------------------------------
