@@ -95,6 +95,8 @@ class Alphabet:
         """The word of rank r: the inverse of rank."""
         if r < 0:
             raise InputError("word rank must be non-negative")
+        if len(self.symbols) == 1:  # unary: rank is length
+            return self.symbols[0] * r
         out = []
         while r:
             r, digit = divmod(r - 1, len(self.symbols))

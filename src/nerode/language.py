@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .alphabet import Alphabet, Word, walk_states
 from .dfa import Dfa, minimize_dfa
@@ -204,19 +204,38 @@ def residual_key(chi: bytes, alphabet: Alphabet, r: int, depth: int) -> bytes:
     return b"".join([chi[s] for s in alphabet.residual_slices(r, depth)])
 
 
-def bucket(keys: Iterable[Hashable]) -> tuple[dict[Hashable, int], list[list[int]]]:
-    """Group positions (here, ranks of words) by key: index maps each key to
-    its class number, classes numbered in order of first appearance, and
-    members[c] lists the positions of class c in increasing order."""
-    index: dict[Hashable, int] = {}
+def context_buckets(
+    chi: bytes, alphabet: Alphabet, m: int, n: int, bound: int
+) -> tuple[dict[bytes, int], list[list[int]], list[int]]:
+    """Bucket the ranks of the words w of length <= bound by the bits of
+    x·w·y for x in words(m) and y in words(n), read from a χ that covers the
+    words of length m + bound + n: for m = 0, the depth-n Myhill-Nerode classes.
+
+    index maps each key to its class number, numbered in order of first
+    appearance; members[c] lists the ranks of class c in increasing order,
+    and labels[r] is the class of rank r."""
+    k = len(alphabet)
+    xs = range(alphabet.word_count(m))  # the ranks of the left contexts x
+    keys = (residual_key(chi, alphabet, q, n) for q in range(alphabet.word_count(m + bound)))
+
+    def joined(right: list[bytes]) -> Iterator[bytes]:
+        # rank(x·w) = rank(x)·k^|w| + rank(w): the words x·w of one length, one block of right per x
+        for length, s in enumerate(alphabet.residual_slices(0, bound)):
+            size = k**length
+            blocks = [map(right.__getitem__, range(x * size + s.start, x * size + s.stop)) for x in xs]
+            yield from map(b"".join, zip(*blocks))
+
+    index: dict[bytes, int] = {}
     members: list[list[int]] = []
-    for i, key in enumerate(keys):
+    labels: list[int] = []
+    for r, key in enumerate(joined(list(keys)) if m else keys):  # x = ε alone: w's own key
         ci = index.get(key)
         if ci is None:
             ci = index[key] = len(members)
             members.append([])
-        members[ci].append(i)
-    return index, members
+        members[ci].append(r)
+        labels.append(ci)
+    return index, members, labels
 
 
 def parse_finals(text: str) -> frozenset[int]:

@@ -12,8 +12,9 @@ The syntactic monoid of a rational language is the transition monoid of its
 minimal DFA, together with the final element set F = {s : s(initial) in
 finals}; a word belongs to the language iff its action lies in F.  For
 non-rational languages the same object is infinite, and context_classes
-computes its finite shadows: words bucketed by which bounded two-sided
-contexts put them in the language.
+computes its finite shadows: language.context_buckets groups words by which
+bounded two-sided contexts put them in the language, and its (0, d) case is
+topology's depth-d Myhill-Nerode quotient.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from .alphabet import Alphabet, Word, bfs_closure
 from .dfa import Dfa
 from .errors import InputError, ResourceError, UnsupportedPresentationError
-from .language import LanguageSpec, bucket, chi_bits, minimal_dfa, residual_key
+from .language import LanguageSpec, chi_bits, context_buckets, minimal_dfa
 
 Transformation = tuple[int, ...]
 
@@ -210,32 +211,12 @@ class ContextClassTable:
         return self.labels[self.alphabet.rank(u)]
 
 
-def _context_buckets(alphabet: Alphabet, chi: bytes, m: int, n: int, bound: int):
-    """Bucket the words of length <= bound by (m, n) context signature, read
-    from a χ that covers the words of length m + bound + n or longer."""
-    k = len(alphabet)
-    xs = range(alphabet.word_count(m))  # the ranks of the left contexts x
-    # the bits of x·w·y for y in words(n) are the depth-n residual key of
-    # rank(x·w) = rank(x)·k^|w| + rank(w); right holds it for every word of length <= m + bound
-    right = [residual_key(chi, alphabet, q, n) for q in range(alphabet.word_count(m + bound))]
-    keys = (
-        b"".join([right[x * k**length + r] for x in xs])
-        for length, s in enumerate(alphabet.residual_slices(0, bound))
-        for r in range(s.start, s.stop)
-    )
-    return bucket(keys)
-
-
 def context_classes(spec: LanguageSpec, m: int, n: int, bound: int) -> ContextClassTable:
     if m < 0 or n < 0:
         raise InputError("context bounds must be non-negative")
     if bound < 1:
         raise InputError("word-length bound must be at least 1")
-    index, members = _context_buckets(spec.alphabet, chi_bits(spec, m + bound + n), m, n, bound)
-    labels = array(_typecode(len(members)), [0]) * spec.alphabet.word_count(bound)
-    for ci, rs in enumerate(members):
-        for r in rs:
-            labels[r] = ci
+    index, members, labels = context_buckets(chi_bits(spec, m + bound + n), spec.alphabet, m, n, bound)
     return ContextClassTable(
         spec.alphabet,
         m,
@@ -244,7 +225,7 @@ def context_classes(spec: LanguageSpec, m: int, n: int, bound: int) -> ContextCl
         tuple(spec.alphabet.unrank(rs[0]) for rs in members),
         tuple(len(rs) for rs in members),
         tuple(map(tuple, index)),
-        labels,
+        array(_typecode(len(members)), labels),
     )
 
 
@@ -274,5 +255,5 @@ def growth_profile(spec: LanguageSpec, kmax: int, bound: int) -> GrowthProfile:
     if bound < kmax:
         raise InputError("word-length bound must be at least kmax")
     chi = chi_bits(spec, 2 * kmax + bound)
-    counts = [len(_context_buckets(spec.alphabet, chi, k, k, bound)[1]) for k in range(1, kmax + 1)]
+    counts = [len(context_buckets(chi, spec.alphabet, k, k, bound)[1]) for k in range(1, kmax + 1)]
     return GrowthProfile(tuple(counts), bound)

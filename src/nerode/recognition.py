@@ -89,8 +89,10 @@ def minimization_morphism(
         if witness is not None:
             raise RecognitionMismatchError(witness)
     else:
-        # d's columns in the spec's symbol order; a spec symbol d lacks raises here
+        # d's columns in the spec's symbol order; a symbol only one alphabet has raises here
         cols = [d.alphabet.index(ch) for ch in spec.alphabet.symbols]
+        for ch in d.alphabet.symbols:
+            spec.alphabet.index(ch)
         found = _mismatches(d.rows, cols, d.initial, d.finals, spec, bound, True)
         if found:
             raise RecognitionMismatchError(spec.alphabet.unrank(found[0][0]))

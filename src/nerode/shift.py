@@ -43,7 +43,8 @@ class BitStream:
     def prefix(self, n: int) -> str:
         if n < 0:
             raise InputError("prefix length must be non-negative")
-        return "".join(map(str, residual_bits(self.spec, "", n - 1))) if n else ""
+        bits = bytes(residual_bits(self.spec, "", n - 1)) if n else b""
+        return bits.translate(bytes.maketrans(b"\0\1", b"01")).decode()
 
 
 def champernowne_stream() -> BitStream:

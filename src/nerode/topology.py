@@ -5,9 +5,11 @@ on by appending letters; the language's orbit in there consists of its
 residuals.  Everything here truncates that picture to a finite depth d: a
 point remembers membership bits only for words of length <= d, and words are
 bucketed by their depth-d residual truncation (a bounded Myhill-Nerode
-relation).  Depth-d indistinguishability is not a right congruence, so
-quotient transitions are computed on shortest witnesses and cross-checked
-against every enumerated class member, with an explicit consistent flag.
+relation): their (0, d) context classes, from the language.context_buckets
+that monoid's two-sided context classes also use.  Depth-d
+indistinguishability is not a right congruence, so quotient transitions are
+computed on shortest witnesses and cross-checked against every enumerated
+class member, with an explicit consistent flag.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from .alphabet import Alphabet, Word
 from .dfa import Dfa
 from .errors import ConsistencyError, DepthExhaustedError, InputError
-from .language import LanguageSpec, bucket, chi_bits, residual_bits, residual_key
+from .language import LanguageSpec, chi_bits, context_buckets, residual_bits, residual_key
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class TruncatedPoint:
         return self.bits[self.alphabet.rank(u)]
 
     def bit_string(self) -> str:
-        return "".join(map(str, self.bits))
+        return bytes(self.bits).translate(bytes.maketrans(b"\0\1", b"01")).decode()
 
 
 def residual_truncation(spec: LanguageSpec, w: Word, d: int) -> TruncatedPoint:
@@ -126,9 +128,7 @@ def _quotient(alphabet: Alphabet, chi: bytes, d: int, horizon: int) -> ApproxAut
     horizon + d + 1 or longer, so that one χ serves several depths."""
     k = len(alphabet)
     n = alphabet.word_count(horizon)  # the enumerated words are the ranks below n
-    keys = [residual_key(chi, alphabet, r, d) for r in range(n)]
-    class_of, members = bucket(keys)
-    label = list(map(class_of.__getitem__, keys))
+    class_of, members, label = context_buckets(chi, alphabet, 0, d, horizon)
     witnesses = tuple(alphabet.unrank(rs[0]) for rs in members)
 
     transitions = []
@@ -222,17 +222,10 @@ def orbit_closure_report(spec: LanguageSpec, d: int, horizon: int) -> ClosureRep
         raise InputError("horizon must be at least 2")
     alphabet = spec.alphabet
     chi = chi_bits(spec, horizon + d)
-    levels = alphabet.residual_slices(0, horizon)  # the ranks of the words of each length
-    length = [n for n, s in enumerate(levels) for _ in range(s.start, s.stop)]
-    class_of, members = bucket(residual_key(chi, alphabet, r, d) for r in range(len(length)))
-    patterns = tuple(
-        ClosurePattern(
-            TruncatedPoint(alphabet, d, tuple(key)),
-            length[rs[0]],
-            length[rs[-1]],
-            len(rs),
-            recurrent=2 * length[rs[-1]] > horizon,
-        )
-        for key, rs in zip(class_of, members)
-    )
-    return ClosureReport(d, horizon, patterns)
+    class_of, members, _ = context_buckets(chi, alphabet, 0, d, horizon)
+    patterns = []
+    for key, rs in zip(class_of, members):
+        first, last = len(alphabet.unrank(rs[0])), len(alphabet.unrank(rs[-1]))
+        point = TruncatedPoint(alphabet, d, tuple(key))
+        patterns.append(ClosurePattern(point, first, last, len(rs), recurrent=2 * last > horizon))
+    return ClosureReport(d, horizon, tuple(patterns))

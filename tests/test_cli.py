@@ -223,6 +223,14 @@ def test_morphism_language_mismatch_exits_2(capsys):
     assert "witness" in err
 
 
+@pytest.mark.parametrize("command", ["morphism", "induced-hom"])
+def test_oracle_spec_lacking_a_dfa_symbol_exits_2(capsys, command):
+    dfa = "alphabet: ab / dfa: 2 0 0 / 1 1 / 0 0"  # accepts "bb"
+    code, _, err = run(capsys, command, "--spec", "alphabet: a / builtin: even_length", "--dfa", dfa)
+    assert code == 2
+    assert "'b'" in err
+
+
 def test_induced_hom(capsys):
     code, payload, _ = run_json(capsys, "induced-hom", "--spec", AA, "--dfa", CHAIN)
     assert code == 0

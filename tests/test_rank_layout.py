@@ -8,6 +8,7 @@ letters, so that no bucket is only ever checked on a rational language.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +120,20 @@ def test_nerode_buckets_match_residual_signatures_beyond_dfas(language, depth, e
             )
             tr = a.transitions[i][k]
             assert (tr.target, tr.consistent) == (target, consistent)
+
+
+@settings(max_examples=80, deadline=None)
+@given(languages, st.integers(0, 2), st.integers(0, 3))
+def test_nerode_classes_are_the_contexts_with_empty_left_side(language, depth, extra):
+    # x ranges over the empty word alone, so the (0, d) context of w is its depth-d residual
+    spec, member = language
+    horizon = max(depth, 1) + extra
+    a = nerode_classes(spec, depth, horizon)
+    t = context_classes(spec, 0, depth, horizon)
+    assert t.representatives == a.witnesses
+    assert t.signatures == tuple(p.bits for p in a.classes)
+    sizes = Counter(residual_assignment(member, spec.alphabet.symbols, depth, horizon).values())
+    assert t.sizes == tuple(sizes[p.bits] for p in a.classes)
 
 
 @settings(max_examples=60, deadline=None)

@@ -124,6 +124,14 @@ def test_morphism_oracle_symbol_missing_from_dfa_raises_input_error(finals):
         minimization_morphism(cycle_dfa(2, finals), builtin_language("even_length"))
 
 
+def test_morphism_oracle_dfa_symbol_missing_from_spec_raises_input_error():
+    # the DFA also reads 'b', and accepts "bb", which the unary spec cannot contain
+    d = Dfa(Alphabet.of("ab"), 2, 0, frozenset({0}), ((1, 1), (0, 0)))
+    spec = LanguageSpec(Alphabet.of("a"), OracleSpec("even_length"))
+    with pytest.raises(InputError, match="'b'"):
+        minimization_morphism(d, spec)
+
+
 # --- check_morphism ----------------------------------------------------------
 
 
