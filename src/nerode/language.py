@@ -206,14 +206,14 @@ def residual_key(chi: bytes, alphabet: Alphabet, r: int, depth: int) -> bytes:
 
 def context_buckets(
     chi: bytes, alphabet: Alphabet, m: int, n: int, bound: int
-) -> tuple[dict[bytes, int], list[list[int]], list[int]]:
+) -> tuple[dict[bytes, int], list[int], list[int]]:
     """Bucket the ranks of the words w of length <= bound by the bits of
     x·w·y for x in words(m) and y in words(n), read from a χ that covers the
     words of length m + bound + n: for m = 0, the depth-n Myhill-Nerode classes.
 
     index maps each key to its class number, numbered in order of first
-    appearance; members[c] lists the ranks of class c in increasing order,
-    and labels[r] is the class of rank r."""
+    appearance; labels[r] is the class of rank r, the only form of the
+    partition, and first[c] is the least rank of class c."""
     k = len(alphabet)
     xs = range(alphabet.word_count(m))  # the ranks of the left contexts x
     keys = (residual_key(chi, alphabet, q, n) for q in range(alphabet.word_count(m + bound)))
@@ -226,16 +226,10 @@ def context_buckets(
             yield from map(b"".join, zip(*blocks))
 
     index: dict[bytes, int] = {}
-    members: list[list[int]] = []
-    labels: list[int] = []
-    for r, key in enumerate(joined(list(keys)) if m else keys):  # x = ε alone: w's own key
-        ci = index.get(key)
-        if ci is None:
-            ci = index[key] = len(members)
-            members.append([])
-        members[ci].append(r)
-        labels.append(ci)
-    return index, members, labels
+    labels = [index.setdefault(key, len(index)) for key in (joined(list(keys)) if m else keys)]
+    # first ranks rise with the class number; the last write of a class is its least rank
+    first = sorted(dict(zip(reversed(labels), range(len(labels) - 1, -1, -1))).values())
+    return index, labels, first
 
 
 def parse_finals(text: str) -> frozenset[int]:

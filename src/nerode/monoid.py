@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .alphabet import Alphabet, Word, bfs_closure
@@ -216,16 +217,16 @@ def context_classes(spec: LanguageSpec, m: int, n: int, bound: int) -> ContextCl
         raise InputError("context bounds must be non-negative")
     if bound < 1:
         raise InputError("word-length bound must be at least 1")
-    index, members, labels = context_buckets(chi_bits(spec, m + bound + n), spec.alphabet, m, n, bound)
+    index, labels, first = context_buckets(chi_bits(spec, m + bound + n), spec.alphabet, m, n, bound)
     return ContextClassTable(
         spec.alphabet,
         m,
         n,
         bound,
-        tuple(spec.alphabet.unrank(rs[0]) for rs in members),
-        tuple(len(rs) for rs in members),
+        tuple(map(spec.alphabet.unrank, first)),
+        tuple(Counter(labels).values()),  # in class order: classes are numbered by first rank
         tuple(map(tuple, index)),
-        array(_typecode(len(members)), labels),
+        array(_typecode(len(index)), labels),
     )
 
 
@@ -255,5 +256,5 @@ def growth_profile(spec: LanguageSpec, kmax: int, bound: int) -> GrowthProfile:
     if bound < kmax:
         raise InputError("word-length bound must be at least kmax")
     chi = chi_bits(spec, 2 * kmax + bound)
-    counts = [len(context_buckets(chi, spec.alphabet, k, k, bound)[1]) for k in range(1, kmax + 1)]
+    counts = [len(context_buckets(chi, spec.alphabet, k, k, bound)[0]) for k in range(1, kmax + 1)]
     return GrowthProfile(tuple(counts), bound)

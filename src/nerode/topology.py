@@ -5,15 +5,16 @@ on by appending letters; the language's orbit in there consists of its
 residuals.  Everything here truncates that picture to a finite depth d: a
 point remembers membership bits only for words of length <= d, and words are
 bucketed by their depth-d residual truncation (a bounded Myhill-Nerode
-relation): their (0, d) context classes, from the language.context_buckets
-that monoid's two-sided context classes also use.  Depth-d
-indistinguishability is not a right congruence, so quotient transitions are
-computed on shortest witnesses and cross-checked against every enumerated
-class member, with an explicit consistent flag.
+relation): their (0, d) context classes, one label per rank, from the
+language.context_buckets that monoid's two-sided context classes also use.
+Depth-d indistinguishability is not a right congruence, so quotient
+transitions are computed on shortest witnesses, and a transition is flagged
+consistent only when the enumerated successors of its class meet one class.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, Word
@@ -36,7 +37,7 @@ class TruncatedPoint:
         expected = self.alphabet.word_count(self.depth)
         if len(self.bits) != expected:
             raise InputError(f"expected {expected} bits for depth {self.depth}, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise InputError("table entries must be bits")
 
     def value(self, u: Word) -> int:
@@ -125,24 +126,24 @@ def nerode_classes(spec: LanguageSpec, d: int, horizon: int) -> ApproxAutomaton:
 
 def _quotient(alphabet: Alphabet, chi: bytes, d: int, horizon: int) -> ApproxAutomaton:
     """nerode_classes read from a χ that covers the words of length
-    horizon + d + 1 or longer, so that one χ serves several depths."""
+    horizon + d + 1 or longer, so that one χ serves several depths.  Rank r
+    goes to rank r·k + i on the i-th symbol, so zip(labels, labels[i::k])
+    pairs each class with the successor classes it meets on that symbol:
+    the transition is consistent when there is at most one."""
     k = len(alphabet)
     n = alphabet.word_count(horizon)  # the enumerated words are the ranks below n
-    class_of, members, label = context_buckets(chi, alphabet, 0, d, horizon)
-    witnesses = tuple(alphabet.unrank(rs[0]) for rs in members)
+    class_of, labels, first = context_buckets(chi, alphabet, 0, d, horizon)
+    witnesses = tuple(map(alphabet.unrank, first))
+    fanout = [Counter(c for c, _ in set(zip(labels, labels[i::k]))) for i in range(1, k + 1)]
 
     transitions = []
-    for rs in members:
+    for c, r in enumerate(first):
         row = []
-        for i in range(1, k + 1):  # the successor of rank r on the i-th symbol is r·k + i
-            t = rs[0] * k + i
+        for i in range(1, k + 1):
+            t = r * k + i
             # a witness on the horizon is evaluated past it
-            target = label[t] if t < n else class_of.get(residual_key(chi, alphabet, t, d))
-            # every enumerated successor of a member must land in the same class
-            consistent = target is not None and all(
-                r * k + i >= n or label[r * k + i] == target for r in rs
-            )
-            row.append(Transition(target, consistent))
+            target = labels[t] if t < n else class_of.get(residual_key(chi, alphabet, t, d))
+            row.append(Transition(target, target is not None and fanout[i - 1][c] <= 1))
         transitions.append(tuple(row))
 
     classes = tuple(TruncatedPoint(alphabet, d, tuple(key)) for key in class_of)
@@ -222,10 +223,11 @@ def orbit_closure_report(spec: LanguageSpec, d: int, horizon: int) -> ClosureRep
         raise InputError("horizon must be at least 2")
     alphabet = spec.alphabet
     chi = chi_bits(spec, horizon + d)
-    class_of, members, _ = context_buckets(chi, alphabet, 0, d, horizon)
+    class_of, labels, firsts = context_buckets(chi, alphabet, 0, d, horizon)
+    lasts = dict(zip(labels, range(len(labels)))).values()  # in class order, as are the counts
     patterns = []
-    for key, rs in zip(class_of, members):
-        first, last = len(alphabet.unrank(rs[0])), len(alphabet.unrank(rs[-1]))
+    for key, r0, r1, count in zip(class_of, firsts, lasts, Counter(labels).values()):
+        first, last = len(alphabet.unrank(r0)), len(alphabet.unrank(r1))
         point = TruncatedPoint(alphabet, d, tuple(key))
-        patterns.append(ClosurePattern(point, first, last, len(rs), recurrent=2 * last > horizon))
+        patterns.append(ClosurePattern(point, first, last, count, recurrent=2 * last > horizon))
     return ClosureReport(d, horizon, tuple(patterns))

@@ -402,6 +402,10 @@ def test_negative_monoid_cap_exits_2(capsys, monkeypatch):
     result = run(capsys, "monoid", "--spec", AA)
     assert _one_error_line(*result)
     assert "NERODE_MONOID_CAP must be at least 1" in result[2]
+    monkeypatch.setenv("NERODE_MONOID_CAP", "abc")
+    result = run(capsys, "monoid", "--spec", AA)
+    assert _one_error_line(*result)
+    assert "NERODE_MONOID_CAP must be an integer, got 'abc'" in result[2]
 
 
 def test_closed_stdout_exits_2_without_traceback():

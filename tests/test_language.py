@@ -90,6 +90,8 @@ def test_membership_dyck1():
     assert [membership(spec, w) for w in ["", "ab", "aabb", "abab", "ba", "aab", "abb"]] == [
         1, 1, 1, 1, 0, 0, 0,
     ]
+    # a third symbol is neither bracket, so no word containing it is balanced
+    assert membership(LanguageSpec(Alphabet.of("abc"), OracleSpec("dyck1")), "acb") == 0
 
 
 def test_characteristic_table_matches_membership():
@@ -326,6 +328,20 @@ def test_parse_error_line_numbers():
     with pytest.raises(SpecFileError) as e:
         parse_spec_file("alphabet: ab\nnfa: nope\n")
     assert e.value.line == 2
+    for text, message in [
+        ("alphabet: ab\nbuiltin: anbn x\n", "builtin parameters must be integers (line 2)"),
+        ("alphabet: ab\ndfa: 1 0 0\n0\n", "expected 2 targets (one per symbol), got 1 (line 3)"),
+        ("alphabet: ab\ndfa: 1 0 0\n0 x\n", "transition targets must be integers (line 3)"),
+        ("alphabet: ab\nregex: a\nb\n", "unexpected extra line (line 3)"),
+        ("alphabet: ab\nbuiltin: anbn\nb\n", "unexpected extra line (line 3)"),
+        ("alphabet: ab\nbuiltin:\n", "builtin needs a name (line 2)"),
+        ("alphabet: ab\n", "expected a presentation line after the alphabet (line 1)"),
+        ("alphabet: aa\nregex: a\n", "duplicate symbols in alphabet 'aa' (line 1)"),
+        ("alphabet: ab\ndfa: 1 0\n", "expected 'dfa: <n> <initial> <finals csv|->' (line 2)"),
+    ]:
+        with pytest.raises(SpecFileError) as e:
+            parse_spec_file(text)
+        assert str(e.value) == message
 
 
 def test_parse_unknown_builtin_is_config_error():
@@ -357,6 +373,10 @@ def test_dfa_validation():
         Dfa(a, 2, 0, frozenset(), ((0,), (1, 1)))
     with pytest.raises(InputError):
         Dfa(a, 2, 0, frozenset(), ((0, 3), (1, 1)))
+    with pytest.raises(InputError, match="at least one state"):
+        Dfa(a, 0, 0, frozenset(), ())
+    with pytest.raises(InputError, match="expected 2 transition rows, got 1"):
+        Dfa(a, 2, 0, frozenset(), ((0, 0),))
 
 
 def test_dfa_isomorphic_ignores_numbering():

@@ -185,6 +185,12 @@ def test_check_morphism_into_approx_automaton_target():
     d = minimal_dfa(spec)
     report = check_morphism(AutomatonMorphism(d, approx, (0, 1)))
     assert report.passed
+    # at horizon 0 no successor of the one class was enumerated: every target is None
+    unresolved = nerode_classes(builtin_language("anbn"), 0, 0)
+    source = Dfa(Alphabet.of("ab"), 1, 0, frozenset({0}), ((0, 0),))
+    report = check_morphism(AutomatonMorphism(source, unresolved, (0,)))
+    assert not report.passed
+    assert [v.detail for v in report.violations if v.kind == "equivariance"] == ["target transition unresolved"] * 2
 
 
 def test_perturbation_sensitivity():

@@ -3,6 +3,7 @@ import pytest
 from nerode import (
     Alphabet,
     DepthExhaustedError,
+    Dfa,
     InputError,
     TruncatedPoint,
     builtin_language,
@@ -291,3 +292,5 @@ def test_strongly_connected_examples():
     assert is_strongly_connected(minimize_dfa(compile_regex("(aa)*", a)))
     assert is_strongly_connected(minimize_dfa(compile_regex("(a|b)*ab", ab)))
     assert not is_strongly_connected(minimize_dfa(compile_regex("a(a|b)*", ab)))
+    # state 1 is never reached, although it reaches the initial state
+    assert not is_strongly_connected(Dfa(ab, 2, 0, frozenset(), ((0, 0), (0, 0))))
