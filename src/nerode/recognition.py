@@ -11,10 +11,13 @@ maps are never trusted silently:
   * minimal_monoid_hom: the collapse of any finite monoid recognizing a
     rational language onto the syntactic monoid.
 
-Every comparison with a spec is one walk.  For a rational spec it is
-dfa.product_mismatches on the product with the spec's DFA: exact for the
-DFA-vs-DFA check, while a recognition report lists violations only up to
-its word bound.  An oracle spec is checked word by word up to a bound.
+Every comparison with a spec is one walk, the automaton's columns read in
+the spec's symbol order.  For a rational spec it is dfa.product_mismatches on the
+product with the spec's DFA: exact for the DFA-vs-DFA check, while a
+recognition report lists violations only up to its word bound.  An oracle
+spec is checked word by word up to a bound.  The maps are computed, not
+searched: the state map follows the source's BFS tree, and induced_hom
+reads each transformation through the state map.
 In finite monoids every subset is clopen and right translation is always
 continuous, so the topological side conditions of the corresponding
 infinite statements hold vacuously and are not re-checked here.
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .alphabet import bfs_closure, walk_states
-from .dfa import Dfa, access_words, language_mismatch, minimize_dfa, product_mismatches
+from .dfa import Dfa, minimize_dfa, product_mismatches
 from .errors import (
     ConsistencyError,
     IllDefinedHomError,
@@ -73,33 +76,33 @@ def minimization_morphism(
     """The unique morphism from a trim DFA onto the minimal DFA of the
     spec's language, sending each state to the class of its residual.
 
-    Requires every state reachable (trimness) and L(d) = L(spec): exact via
-    the product automaton for rational specs, bounded-word check otherwise.
-    The bound is checked for every spec, although only an oracle reads it.
+    Requires every state reachable (trimness) and L(d) = L(spec), compared
+    by _mismatches as for every spec: exactly for a rational spec, whose
+    shortest mismatch is a simple path in the product, so no longer than
+    d's states times the spec DFA's; up to bound for an oracle, which alone
+    reads it.  The map follows d's BFS tree: a state first reached from s
+    by symbol k goes to the k-successor of s's class.
     """
     if bound < 0:
         raise InputError("word length bound must be non-negative")
-    access = access_words(d)
-    unreachable = sorted(set(range(d.n_states)) - set(access))
-    if unreachable:
-        raise TrimnessError(unreachable)
+    c = bfs_closure(d.initial, d.rows.__getitem__)
+    if len(c.items) < d.n_states:
+        raise TrimnessError(sorted(set(range(d.n_states)) - set(c.items)))
 
-    if spec.rational:
-        witness = language_mismatch(d, presented_dfa(spec))
-        if witness is not None:
-            raise RecognitionMismatchError(witness)
-    else:
-        # d's columns in the spec's symbol order; a symbol only one alphabet has raises here
-        cols = [d.alphabet.index(ch) for ch in spec.alphabet.symbols]
-        for ch in d.alphabet.symbols:
-            spec.alphabet.index(ch)
-        found = _mismatches(d.rows, cols, d.initial, d.finals, spec, bound, True)
-        if found:
-            raise RecognitionMismatchError(spec.alphabet.unrank(found[0][0]))
+    # d's columns in the spec's symbol order; a symbol only one alphabet has raises here
+    cols = [d.alphabet.index(ch) for ch in spec.alphabet.symbols]
+    for ch in d.alphabet.symbols:
+        spec.alphabet.index(ch)
+    limit = d.n_states * presented_dfa(spec).n_states if spec.rational else bound
+    found = _mismatches(d.rows, cols, d.initial, d.finals, spec, limit, True)
+    if found:
+        raise RecognitionMismatchError(spec.alphabet.unrank(found[0][0]))
 
     target = minimize_dfa(d)
-    mapping = tuple(target.run(access[s]) for s in range(d.n_states))
-    return AutomatonMorphism(d, target, mapping)
+    mapping = [0] * d.n_states
+    for s, (parent, k) in zip(c.items[1:], c.tree):
+        mapping[s] = target.rows[mapping[c.items[parent]]][k]
+    return AutomatonMorphism(d, target, tuple(mapping))
 
 
 def check_morphism(phi: AutomatonMorphism) -> Report:
@@ -154,38 +157,11 @@ class MonoidHom:
     ignored: tuple[int, ...] = ()
 
 
-def _generated_hom(
-    source: FiniteMonoid, gen_images: dict[str, int], target: FiniteMonoid, symbols, clash
-) -> list[int | None]:
-    """Map the source element of each word over symbols (letter ch read as
-    gen_images[ch]) to its target element (ch read as target.generators[ch]).
-
-    Images follow the BFS tree of the generated part of source, one table
-    lookup per element; elements outside it map to None.  Every generator
-    step is checked: the first pair of words naming one source element but
-    two target elements is raised as clash(pair).
-    """
-    cols = [gen_images[ch] for ch in symbols]
-    target_cols = [target.generators[ch] for ch in symbols]
-    c = bfs_closure(0, lambda e: [source.table[e][g] for g in cols])
-    images = [0]  # element 0 is the identity of both monoids
-    for parent, k in c.tree:
-        images.append(target.table[images[parent]][target_cols[k]])
-    for i, row in enumerate(c.rows):
-        for k, j in enumerate(row):
-            if images[j] != target.table[images[i]][target_cols[k]]:
-                witnesses = c.witnesses(symbols)
-                raise clash((witnesses[j], witnesses[i] + symbols[k]))
-    mapping: list[int | None] = [None] * source.order
-    for e, image in zip(c.items, images):
-        mapping[e] = image
-    return mapping
-
-
 def induced_hom(phi: AutomatonMorphism) -> MonoidHom:
     """Homomorphism between transition monoids induced by a valid surjective
-    automaton morphism: the action of w upstairs maps to the action of w
-    downstairs.
+    automaton morphism: the action f of w upstairs maps to phi f phi^-1, the
+    action of w downstairs.  That reads target state t through any preimage
+    s of t, as phi(f(s)); equivariance makes the choice of s irrelevant.
     """
     if not isinstance(phi.target, Dfa):
         raise InputError("induced homomorphism needs a DFA target")
@@ -193,23 +169,18 @@ def induced_hom(phi: AutomatonMorphism) -> MonoidHom:
     if not report.passed:
         v = report.violations[0]
         raise InputError(f"morphism is not valid: {v.kind} at {v.witness}")
-    if set(phi.mapping) != set(range(phi.target.n_states)):
+    n = phi.target.n_states
+    section = {t: s for s, t in enumerate(phi.mapping)}  # one preimage of each target state
+    if len(section) != n:
         raise InputError("morphism is not surjective")
 
     m_src = transition_monoid(phi.source)
     m_tgt = transition_monoid(phi.target)
-
-    # Well-definedness alarm: with a valid surjective morphism the witness
-    # choice cannot matter, so a disagreement means a bug, not bad input.
-    def clash(pair):
-        return ConsistencyError(
-            f"witnesses {pair[0]!r} and {pair[1]!r} name one element but map to different targets"
-        )
-
-    mapping = _generated_hom(m_src, m_src.generators, m_tgt, phi.source.alphabet.symbols, clash)
+    index = {e: i for i, e in enumerate(m_tgt.elements)}
+    mapping = tuple(index[tuple(phi.mapping[f[section[t]]] for t in range(n))] for f in m_src.elements)
     if set(mapping) != set(range(m_tgt.order)):
         raise ConsistencyError("induced homomorphism failed to cover the target monoid")
-    return MonoidHom(m_src, m_tgt, tuple(mapping))
+    return MonoidHom(m_src, m_tgt, mapping)
 
 
 def _mismatches(table, cols, initial, finals, spec, bound, first_only):
@@ -276,11 +247,12 @@ def minimal_monoid_hom(
     language via final_elements up to the word bound.  That is checked
     first, on the product of the element action with the spec's DFA, and
     only the first violation is sought: a wrong final set raises
-    RecognitionError before the syntactic monoid is built.  The part of the
-    monoid not generated by the images carries no word content and is left
-    out of the map (reported via `ignored`).  A well-definedness failure
-    names two words with equal phi-image whose syntactic images differ:
-    proof that final_elements cannot recognize the language.
+    RecognitionError before the syntactic monoid is built.  Images follow
+    the BFS tree of the part of the monoid the images generate; the rest
+    carries no word content and is left out (reported via `ignored`).
+    Every generator step is checked: two words with equal phi-image whose
+    syntactic images differ raise IllDefinedHomError, proof that
+    final_elements cannot recognize the language.
     """
     require_rational(spec)
     report = verify_recognition(monoid, gen_images, final_elements, spec, bound, first_only=True)
@@ -288,9 +260,22 @@ def minimal_monoid_hom(
         raise RecognitionError(report.violations[0].witness)
     syntactic, _ = syntactic_monoid(spec)
 
-    mapping = _generated_hom(monoid, gen_images, syntactic, spec.alphabet.symbols, IllDefinedHomError)
+    symbols = spec.alphabet.symbols
+    cols = [gen_images[ch] for ch in symbols]
+    target_cols = [syntactic.generators[ch] for ch in symbols]
+    c = bfs_closure(0, lambda e: [monoid.table[e][g] for g in cols])
+    images = [0]  # element 0 is the identity of both monoids
+    for parent, k in c.tree:
+        images.append(syntactic.table[images[parent]][target_cols[k]])
+    for i, row in enumerate(c.rows):
+        for k, j in enumerate(row):
+            if images[j] != syntactic.table[images[i]][target_cols[k]]:
+                witnesses = c.witnesses(symbols)
+                raise IllDefinedHomError((witnesses[j], witnesses[i] + symbols[k]))
+    image_of = dict(zip(c.items, images))
+    mapping = tuple(image_of.get(e) for e in range(monoid.order))
     ignored = tuple(e for e, image in enumerate(mapping) if image is None)
 
     if set(mapping) - {None} != set(range(syntactic.order)):
         raise ConsistencyError("collapse failed to cover the syntactic monoid")
-    return MonoidHom(monoid, syntactic, tuple(mapping), ignored)
+    return MonoidHom(monoid, syntactic, mapping, ignored)

@@ -139,6 +139,26 @@ def test_nerode_dot_marks_unverified_dashed(capsys):
     assert "style=dashed" in out
 
 
+def test_nerode_dot_points_unresolved_transitions_at_unknown(capsys):
+    # at horizon 0 no successor of the one class is enumerated
+    code, out, _ = run(
+        capsys,
+        "nerode", "--spec", "alphabet: ab / builtin: anbn",
+        "--depth", "0", "--horizon", "0", "--format", "dot",
+    )
+    assert code == 0
+    assert out == (
+        "digraph automaton {\n"
+        "  rankdir=LR;\n"
+        '  __start [shape=point label=""];\n'
+        '  __unknown [shape=none label="?"];\n'
+        '  q0 [shape=doublecircle label="0:ε"];\n'
+        "  __start -> q0;\n"
+        '  q0 -> __unknown [label="a,b" style=dashed];\n'
+        "}\n"
+    )
+
+
 def test_stabilize(capsys):
     code, payload, _ = run_json(capsys, "stabilize", "--spec", AA, "--depth", "1", "--horizon", "6")
     assert code == 0
@@ -223,12 +243,29 @@ def test_morphism_language_mismatch_exits_2(capsys):
     assert "witness" in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["alphabet: a / builtin: even_length", "alphabet: a / regex: (aa)*"], ids=["oracle", "regex"]
+)
 @pytest.mark.parametrize("command", ["morphism", "induced-hom"])
-def test_oracle_spec_lacking_a_dfa_symbol_exits_2(capsys, command):
+def test_oracle_spec_lacking_a_dfa_symbol_exits_2(capsys, command, spec):
     dfa = "alphabet: ab / dfa: 2 0 0 / 1 1 / 0 0"  # accepts "bb"
-    code, _, err = run(capsys, command, "--spec", "alphabet: a / builtin: even_length", "--dfa", dfa)
+    code, _, err = run(capsys, command, "--spec", spec, "--dfa", dfa)
     assert code == 2
     assert "'b'" in err
+
+
+# words ending in 'a', as a regex over "ab" and as a DFA over "ba" (b to state 0, a to state 1)
+ENDS_IN_A = "alphabet: ab / regex: (a|b)*a"
+ENDS_IN_A_BA = "alphabet: ba / dfa: 2 0 1 / 0 1 / 0 1"
+
+
+@pytest.mark.parametrize(
+    "command,image", [("morphism", [0, 1]), ("induced-hom", [0, 1, 2])], ids=["morphism", "induced-hom"]
+)
+def test_regex_spec_reads_a_permuted_dfa_alphabet(capsys, command, image):
+    code, payload, _ = run_json(capsys, command, "--spec", ENDS_IN_A, "--dfa", ENDS_IN_A_BA)
+    assert code == 0
+    assert payload["map"] == image
 
 
 def test_induced_hom(capsys):

@@ -53,6 +53,9 @@ def test_wordlist_uses_alphabet_order_not_ascii():
     # symbols deliberately in reverse ASCII order
     ba = Alphabet.of("ba")
     assert list(ba.words(2)) == ["", "b", "a", "bb", "ba", "ab", "aa"]
+    assert "a" in ba and "c" not in ba
+    with pytest.raises(InputError, match="^word length bound must be non-negative$"):
+        next(ba.words(-1))
 
 
 def test_word_count():
@@ -290,6 +293,14 @@ def test_unary_builtin_rejects_binary_alphabet():
 def test_anbn_needs_ab_symbols():
     with pytest.raises(ConfigError):
         LanguageSpec(Alphabet.of("xy"), OracleSpec("anbn"))
+
+
+def test_spec_rejects_a_foreign_dfa_alphabet_and_unknown_presentations():
+    ba = Dfa(Alphabet.of("ba"), 1, 0, frozenset({0}), ((0, 0),))
+    with pytest.raises(InputError, match="^DFA alphabet does not match the spec alphabet$"):
+        LanguageSpec(Alphabet.of("ab"), DfaSpec(ba))
+    with pytest.raises(InputError, match="^unknown presentation 'ab'$"):
+        LanguageSpec(Alphabet.of("ab"), "ab")
 
 
 # --- spec files -----------------------------------------------------------

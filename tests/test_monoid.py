@@ -97,6 +97,8 @@ def test_monoid_witness_soundness():
     for m in corpus_monoids():
         for i, w in enumerate(m.witnesses):
             assert m.evaluate_word(w) == i
+    with pytest.raises(InputError, match="^symbol 'b' has no generator in this monoid$"):
+        transition_monoid(chain_dfa()).evaluate_word("b")
 
 
 def test_monoid_table_matches_composition():

@@ -7,11 +7,13 @@ itertools and run every word on its own.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nerode import (
     Alphabet,
     Dfa,
+    InputError,
     characteristic_table,
     context_classes,
     is_strongly_connected,
@@ -101,6 +103,8 @@ def test_product_search_finds_first_mismatch(seed_a, seed_b):
     a = random_trim_dfa(random.Random(seed_a), max_states=3, symbols="ab")
     b = random_trim_dfa(random.Random(seed_b), max_states=3, symbols="ab")
     if a.alphabet != b.alphabet:
+        with pytest.raises(InputError, match="^language comparison needs a common alphabet$"):
+            language_mismatch(a, b)
         return
     words = all_words(a.alphabet.symbols, a.n_states * b.n_states)
     diff = [w for w in words if (_run(a, w) in a.finals) != (_run(b, w) in b.finals)]

@@ -99,36 +99,46 @@ def test_morphism_accepts_matching_oracle_spec():
     assert phi.mapping == (0, 1, 0)
 
 
-def test_morphism_oracle_check_reads_a_permuted_dfa_alphabet():
+# even length over "ab", once as an oracle and once as a regex: both are
+# compared through one call, with the DFA's columns in the spec's symbol order
+EVEN_AB = [builtin_language("even_length"), regex_spec("((a|b)(a|b))*", "ab")]
+
+
+@pytest.mark.parametrize("spec", EVEN_AB, ids=["oracle", "regex"])
+def test_morphism_oracle_check_reads_a_permuted_dfa_alphabet(spec):
     # over "ba": b leads to state 1, a to state 2, both back to 0; even length
     d = Dfa(Alphabet.of("ba"), 3, 0, frozenset({0}), ((1, 2), (0, 0), (0, 0)))
-    phi = minimization_morphism(d, builtin_language("even_length"))
+    phi = minimization_morphism(d, spec)
     assert phi.mapping == (0, 1, 1)
     assert check_morphism(phi).passed
 
 
-def test_morphism_oracle_mismatch_witness_in_spec_order():
+@pytest.mark.parametrize("spec", EVEN_AB, ids=["oracle", "regex"])
+def test_morphism_oracle_mismatch_witness_in_spec_order(spec):
     # over "ba", from initial state 2: even length and no 'a'; read with
     # unpermuted columns it would be "no 'b'" and the first mismatch "ab"
     d = Dfa(Alphabet.of("ba"), 3, 2, frozenset({2}), ((0, 0), (2, 0), (1, 0)))
     with pytest.raises(RecognitionMismatchError) as e:
-        minimization_morphism(d, builtin_language("even_length"))
+        minimization_morphism(d, spec)
     assert e.value.witness == "aa"
 
 
+@pytest.mark.parametrize("spec", EVEN_AB, ids=["oracle", "regex"])
 @pytest.mark.parametrize("finals", [{0}, {1}])
-def test_morphism_oracle_symbol_missing_from_dfa_raises_input_error(finals):
+def test_morphism_oracle_symbol_missing_from_dfa_raises_input_error(finals, spec):
     # the "ab" spec has a 'b' the unary DFA lacks; with finals {1} the empty
     # word would also mismatch, but the missing symbol is reported first
-    with pytest.raises(InputError, match="'b'"):
-        minimization_morphism(cycle_dfa(2, finals), builtin_language("even_length"))
+    with pytest.raises(InputError, match="^symbol 'b' not in alphabet 'a'$"):
+        minimization_morphism(cycle_dfa(2, finals), spec)
 
 
-def test_morphism_oracle_dfa_symbol_missing_from_spec_raises_input_error():
+@pytest.mark.parametrize("spec", [
+    LanguageSpec(Alphabet.of("a"), OracleSpec("even_length")), regex_spec("(aa)*", "a"),
+], ids=["oracle", "regex"])
+def test_morphism_oracle_dfa_symbol_missing_from_spec_raises_input_error(spec):
     # the DFA also reads 'b', and accepts "bb", which the unary spec cannot contain
     d = Dfa(Alphabet.of("ab"), 2, 0, frozenset({0}), ((1, 1), (0, 0)))
-    spec = LanguageSpec(Alphabet.of("a"), OracleSpec("even_length"))
-    with pytest.raises(InputError, match="'b'"):
+    with pytest.raises(InputError, match="^symbol 'b' not in alphabet 'a'$"):
         minimization_morphism(d, spec)
 
 
@@ -175,6 +185,8 @@ def test_check_morphism_rejects_map_entries_outside_the_target(entry, approx):
     target = nerode_classes(dfa_language_spec(d), 2, 6) if approx else d
     with pytest.raises(InputError, match=rf"morphism map entry {entry} out of range 0\.\.1"):
         check_morphism(AutomatonMorphism(d, target, (0, entry)))
+    with pytest.raises(InputError, match="^morphism map must cover every source state$"):
+        check_morphism(AutomatonMorphism(d, target, (0,)))
 
 
 def test_check_morphism_into_approx_automaton_target():
@@ -282,6 +294,16 @@ def test_induced_hom_rejects_invalid_morphism():
     bad = AutomatonMorphism(phi.source, phi.target, (0, 0, 0))
     with pytest.raises(InputError, match=r"^morphism is not valid: equivariance at 0:a$"):
         induced_hom(bad)
+    # a valid morphism that misses the target's state 2, which is unreachable there
+    ab = Alphabet.of("ab")
+    target = Dfa(ab, 3, 0, frozenset({1}), ((1, 1), (1, 1), (2, 0)))
+    into = AutomatonMorphism(Dfa(ab, 2, 0, frozenset({1}), ((1, 1), (1, 1))), target, (0, 1))
+    assert check_morphism(into).passed
+    with pytest.raises(InputError, match="^morphism is not surjective$"):
+        induced_hom(into)
+    approx = nerode_classes(regex_spec("(aa)*", "a"), 2, 6)
+    with pytest.raises(InputError, match="^induced homomorphism needs a DFA target$"):
+        induced_hom(AutomatonMorphism(phi.source, approx, (0, 1, 0)))
 
 
 # --- recognition by a monoid ---------------------------------------------------
@@ -323,6 +345,8 @@ def test_verify_recognition_validates_inputs():
         verify_recognition(m, {}, {0}, spec, 5)
     with pytest.raises(InputError):
         verify_recognition(m, m.generators, {9}, spec, 5)
+    with pytest.raises(InputError, match="^generator image for 'a' out of range$"):
+        verify_recognition(m, {"a": m.order}, {0}, spec, 5)
 
 
 RATIONAL_EVEN = [regex_spec("(aa)*", "a"), dfa_language_spec(cycle_dfa(2, {0}))]

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nerode import (
+    Alphabet,
+    Dfa,
     InputError,
     builtin_language,
     export_dot,
@@ -86,6 +88,10 @@ def test_dot_one_state_full_language_self_loop():
 def test_dot_merges_parallel_edges():
     dot = export_dot(minimal_dfa(full_language_spec("ab")))
     assert 'q0 -> q0 [label="a,b"]' in dot
+    # state 2 is unreachable, so it has no access word and is labelled by its index
+    dot = export_dot(Dfa(Alphabet.of("ab"), 3, 0, frozenset({1}), ((1, 1), (1, 1), (2, 0))))
+    assert 'q1 -> q1 [label="a,b"]' in dot
+    assert 'q2 [shape=circle label="2"];' in dot
 
 
 def test_dot_approx_automaton_nodes_and_dashes():

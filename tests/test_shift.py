@@ -40,6 +40,8 @@ def test_champernowne_prefix_is_blockwise_enumeration():
 def test_champernowne_bit_matches_prefix():
     p = champernowne_prefix(200)
     assert all(champernowne_bit(i) == int(p[i]) for i in range(200))
+    with pytest.raises(InputError, match="^bit index must be non-negative$"):
+        champernowne_bit(-1)
 
 
 def test_champernowne_oracle_matches_sequence():
@@ -60,6 +62,11 @@ def test_bitstream_caches_and_serves_bits():
 def test_bitstream_rejects_binary_alphabet():
     with pytest.raises(InputError):
         BitStream(builtin_language("anbn"))
+    s = champernowne_stream()
+    with pytest.raises(InputError, match="^bit index must be non-negative$"):
+        s.bit(-1)
+    with pytest.raises(InputError, match="^prefix length must be non-negative$"):
+        s.prefix(-1)
 
 
 def test_bitstream_concurrent_reads_consistent():
@@ -142,6 +149,11 @@ def test_unary_residual_count_parity():
 def test_unary_residual_count_rejects_binary():
     with pytest.raises(InputError):
         unary_residual_count(builtin_language("anbn"), 2, 5)
+    spec = builtin_language("champernowne_unary")
+    with pytest.raises(InputError, match="^depth must be non-negative$"):
+        unary_residual_count(spec, -1, 5)
+    with pytest.raises(InputError, match="^horizon must be at least the depth$"):
+        unary_residual_count(spec, 3, 2)
 
 
 @pytest.mark.parametrize("name", ["champernowne_unary", "unary_powers_of_two"])

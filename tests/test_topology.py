@@ -2,6 +2,7 @@ import pytest
 
 from nerode import (
     Alphabet,
+    ConsistencyError,
     DepthExhaustedError,
     Dfa,
     InputError,
@@ -52,6 +53,8 @@ def test_point_value_lookup():
 
 
 def test_point_table_size_validation():
+    with pytest.raises(InputError, match="^depth must be non-negative$"):
+        TruncatedPoint(Alphabet.of("ab"), -1, ())
     with pytest.raises(InputError):
         TruncatedPoint(Alphabet.of("ab"), 1, (1, 0))
     with pytest.raises(InputError):
@@ -151,6 +154,10 @@ def test_nerode_inconsistent_transition_flagged():
     tr = a.step(0, "a")
     assert tr.target == 1 and not tr.consistent
     assert a.step(1, "b").consistent
+    # such a quotient, like one whose horizon resolves no transition, defines no DFA
+    for quotient in (a, nerode_classes(anbn, 0, 0)):
+        with pytest.raises(ConsistencyError, match="^quotient has unverified transitions; it does not"):
+            quotient.to_dfa()
 
 
 def test_nerode_accepting_set_rule():
@@ -212,6 +219,8 @@ def test_stabilization_rejects_negative_depth_before_building_chi(monkeypatch):
     monkeypatch.setattr(topology, "chi_bits", no_chi)
     with pytest.raises(InputError, match="^depth must be non-negative$"):
         stabilization_check(builtin_language("anbn"), -1, 5)
+    with pytest.raises(InputError, match="^depth must be non-negative$"):
+        nerode_classes(builtin_language("anbn"), -1, 5)
 
 
 @pytest.mark.parametrize("pattern,symbols,size", REGEX_CORPUS)
