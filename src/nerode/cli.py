@@ -234,7 +234,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader went away; what is still buffered goes to devnull so
         # that the flush at interpreter exit stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # an in-process stream: nothing to redirect
+            return 2
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return 2
     except Exception as e:
         where = traceback.extract_tb(e.__traceback__)[-1]

@@ -125,11 +125,11 @@ def _nerode_partition(rows, finals, k: int) -> list[int]:
 def minimize_dfa(d: Dfa) -> Dfa:
     """Minimal DFA of L(d), reachable states only, canonically numbered."""
     r = canonical_form(d)
-    return minimal_quotient(r.alphabet, r.rows, r.finals)
+    return minimal_quotient(r.alphabet, r.rows, r.finals)[0]
 
 
-def minimal_quotient(alphabet: Alphabet, rows, finals) -> Dfa:
-    """Minimal DFA of a DFA numbered as canonical_form numbers it.
+def minimal_quotient(alphabet: Alphabet, rows, finals) -> tuple[Dfa, list[int]]:
+    """Minimal DFA of a canonically numbered DFA, and each state's class in it.
 
     rows[s] and finals describe the DFA; every state is reachable and state
     s is reached by the s-th shortest length-lex access word, state 0 being
@@ -144,9 +144,10 @@ def minimal_quotient(alphabet: Alphabet, rows, finals) -> Dfa:
         if b not in number:
             number[b] = len(first)
             first.append(s)
-    quotient = tuple(tuple(number[block_of[t]] for t in rows[s]) for s in first)
+    classes = [number[b] for b in block_of]
+    quotient = tuple(tuple(classes[t] for t in rows[s]) for s in first)
     accepting = frozenset(i for i, s in enumerate(first) if s in finals)
-    return Dfa(alphabet, len(first), 0, accepting, quotient)
+    return Dfa(alphabet, len(first), 0, accepting, quotient), classes
 
 
 def dfa_isomorphic(a: Dfa, b: Dfa) -> bool:
@@ -162,17 +163,18 @@ def product_mismatches(table, cols, initial: int, finals, d: Dfa, bound: int, fi
     of s on d's a-th symbol, and finals are its accepting states.  Pairs
     (s, q), held as s * n + q, are found breadth first from (initial,
     d.initial) up to depth bound; succ[i * k + a] is the successor of pair i
-    on the a-th symbol, and pair i was first reached as succ[via[i - 1]].  A
-    pair is bad when its states disagree on acceptance.  Discovery order is
-    the length-lex order of access words, so the first bad pair found gives
-    the first mismatch, and first_only stops there.  Otherwise distances to
-    a bad pair, by one reverse BFS, prune a level walk of (rank, pair) to
-    the words that still reach a bad pair within the bound.  With no
-    reachable bad pair the cost is one product BFS at any bound.
+    on the a-th symbol.  A pair is bad when its states disagree on
+    acceptance.  Discovery order is the length-lex order of access words,
+    so the first bad pair found gives the first mismatch, and first_only
+    stops there with the rank each pair keeps: a pair first reached as
+    succ[i * k + a] gets ranks[i] * k + a + 1.  Otherwise distances to a
+    bad pair, by one reverse BFS, prune a level walk of (rank, pair), which
+    ranks the words that still reach a bad pair within the bound.  With no
+    reachable bad pair, any bound costs one product BFS.
     """
     n, rows, accepting, k = d.n_states, d.rows, d.finals, len(cols)
     start = initial * n + d.initial
-    pairs, index, succ, via, bad = [start], {start: 0}, [], [], []
+    pairs, index, succ, ranks, bad = [start], {start: 0}, [], [0], []
     for depth in range(bound + 1):
         level = pairs[len(bad):]
         if not level:
@@ -180,12 +182,7 @@ def product_mismatches(table, cols, initial: int, finals, d: Dfa, bound: int, fi
         flags = [(c // n in finals) != (c % n in accepting) for c in level]
         if first_only and True in flags:
             i = len(bad) + flags.index(True)
-            s, r, scale = pairs[i] // n, 0, 1
-            while i:  # the access word of pair i, read backwards
-                i, a = divmod(via[i - 1], k)
-                r += (a + 1) * scale
-                scale *= k
-            return [(r, s)]
+            return [(ranks[i], pairs[i] // n)]
         bad += flags
         if depth == bound:
             break
@@ -198,7 +195,8 @@ def product_mismatches(table, cols, initial: int, finals, d: Dfa, bound: int, fi
                 if j is None:
                     j = index[t] = len(pairs)
                     pairs.append(t)
-                    via.append(len(succ))
+                    if first_only:  # the level walk ranks the full listing
+                        ranks.append(ranks[len(succ) // k] * k + len(succ) % k + 1)
                 succ.append(j)
     frontier = [i for i, b in enumerate(bad) if b]
     if not frontier:

@@ -16,7 +16,7 @@ the spec's symbol order.  For a rational spec it is dfa.product_mismatches on th
 product with the spec's DFA: exact for the DFA-vs-DFA check, while a
 recognition report lists violations only up to its word bound.  An oracle
 spec is checked word by word up to a bound.  The maps are computed, not
-searched: the state map follows the source's BFS tree, and induced_hom
+searched: the state map is the source's Nerode partition, and induced_hom
 reads each transformation through the state map.
 In finite monoids every subset is clopen and right translation is always
 continuous, so the topological side conditions of the corresponding
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .alphabet import bfs_closure, walk_states
-from .dfa import Dfa, minimize_dfa, product_mismatches
+from .dfa import Dfa, minimal_quotient, product_mismatches
 from .errors import (
     ConsistencyError,
     IllDefinedHomError,
@@ -80,8 +80,7 @@ def minimization_morphism(
     by _mismatches as for every spec: exactly for a rational spec, whose
     shortest mismatch is a simple path in the product, so no longer than
     d's states times the spec DFA's; up to bound for an oracle, which alone
-    reads it.  The map follows d's BFS tree: a state first reached from s
-    by symbol k goes to the k-successor of s's class.
+    reads it.  Refining the trimness closure gives each state's class.
     """
     if bound < 0:
         raise InputError("word length bound must be non-negative")
@@ -98,11 +97,8 @@ def minimization_morphism(
     if found:
         raise RecognitionMismatchError(spec.alphabet.unrank(found[0][0]))
 
-    target = minimize_dfa(d)
-    mapping = [0] * d.n_states
-    for s, (parent, k) in zip(c.items[1:], c.tree):
-        mapping[s] = target.rows[mapping[c.items[parent]]][k]
-    return AutomatonMorphism(d, target, tuple(mapping))
+    target, classes = minimal_quotient(d.alphabet, c.rows, {c.index[s] for s in d.finals})
+    return AutomatonMorphism(d, target, tuple(classes[c.index[s]] for s in range(d.n_states)))
 
 
 def check_morphism(phi: AutomatonMorphism) -> Report:

@@ -129,4 +129,4 @@ def compile_regex(pattern: str, alphabet: Alphabet) -> Dfa:
     # bfs_closure numbers the reachable subsets as canonical_form numbers states
     c = bfs_closure(1, successors)
     end = sum(1 << p for p in finals)
-    return minimal_quotient(alphabet, c.rows, {i for i, s in enumerate(c.items) if s & end})
+    return minimal_quotient(alphabet, c.rows, {i for i, s in enumerate(c.items) if s & end})[0]

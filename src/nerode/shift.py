@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .language import LanguageSpec, builtin_language, champernowne_bit, chi_bits, membership, residual_bits
+from .language import LanguageSpec, builtin_language, chi_bits, membership, residual_bits
 
 
 def champernowne_prefix(n: int) -> str:
     """First n bits: "" for n=0, "0100011011" for n=10."""
-    if n < 0:
-        raise InputError("prefix length must be non-negative")
-    return "".join(str(champernowne_bit(i)) for i in range(n))
+    return champernowne_stream().prefix(n)
 
 
 class BitStream:

@@ -1,6 +1,8 @@
 import argparse
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +461,31 @@ def test_closed_stdout_exits_2_without_traceback():
     assert err == b""
 
 
+def test_stdout_closed_after_one_byte_exits_2_without_traceback():
+    # order 184: the monoid table prints 380 682 bytes
+    spec = "alphabet: ab / dfa: 6 0 0 / 3 0 / 2 2 / 5 5 / 4 0 / 5 3 / 2 1"
+    env = dict(os.environ, PYTHONPATH=str(Path(nerode.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "nerode.cli", "monoid", "--spec", spec],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
+
+
+class _BrokenStdout(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError
+
+
+def test_broken_in_process_stdout_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    assert main(["champernowne", "--prefix", "5"]) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     def boom(d):
         raise RuntimeError("boom")
@@ -527,3 +554,23 @@ def test_a_fixed_argv_sequence_repeats_exactly(capsys):
     first = [run(capsys, *argv) for argv in argvs]
     assert [run(capsys, *argv) for argv in argvs] == first
     assert [code for code, _, _ in first] == [0, 0, 2, 0, 2]
+
+
+# --- the README's examples --------------------------------------------------
+
+
+def _readme_examples():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return block.replace("\\\n", " ").splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_examples(), ids=lambda line: line.split()[1])
+def test_readme_example_runs_as_documented(capsys, line):
+    command, _, comment = line.partition("#")  # a comment shows the output
+    program, *argv = shlex.split(command)
+    assert program == "nerode"
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    if comment:
+        assert out == comment.strip() + "\n"

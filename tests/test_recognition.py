@@ -29,7 +29,7 @@ from nerode import (
     transition_monoid,
     verify_recognition,
 )
-from nerode import language, recognition
+from nerode import alphabet, dfa, language, recognition
 from nerode.dfa import product_mismatches
 from tests.corpus import chain_dfa, cycle_dfa, empty_language_spec, regex_spec
 from tests.oracles import (
@@ -50,6 +50,21 @@ def test_chain_morphism_collapses_even_states():
     assert phi.mapping == (0, 1, 0)
     assert phi.target.n_states == 2
     assert check_morphism(phi).passed
+
+
+def test_minimization_morphism_takes_one_closure(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return alphabet.bfs_closure(*args, **kwargs)
+
+    for module in (recognition, dfa):
+        monkeypatch.setattr(module, "bfs_closure", counting)
+    d = chain_dfa()
+    phi = minimization_morphism(d, regex_spec("(aa)*", "a"))
+    assert len(calls) == 1
+    assert phi.mapping == residual_matching_morphism(d, phi.target) == (0, 1, 0)
 
 
 def test_morphism_from_minimal_is_bijection():
